@@ -186,22 +186,21 @@ struct ChurnFixture {
 
 void BM_ChurnIncremental(benchmark::State& state) {
   ChurnFixture fixture;
-  WfqMaxMinAllocator allocator;
-  std::unique_ptr<AllocationEngine> engine = allocator.CreateEngine(&fixture.network);
+  AllocationEngine engine(&fixture.network, AllocationDiscipline::kWfqSlQueues);
   for (ActiveFlow* flow : fixture.raw) {
-    engine->FlowAdded(flow);
+    engine.FlowAdded(flow);
   }
-  engine->Recompute();
+  engine.Recompute();
   ActiveFlow churn = fixture.MakeChurnFlow();
   for (auto _ : state) {
-    engine->FlowAdded(&churn);
-    engine->Recompute();
-    engine->FlowRemoved(&churn);
-    engine->Recompute();
+    engine.FlowAdded(&churn);
+    engine.Recompute();
+    engine.FlowRemoved(&churn);
+    engine.Recompute();
     benchmark::DoNotOptimize(churn.rate);
   }
   state.SetItemsProcessed(state.iterations() * 2);  // Two events per cycle.
-  const AllocationEngineStats& stats = engine->stats();
+  const AllocationEngineStats& stats = engine.stats();
   state.counters["flows_rerated_per_event"] = benchmark::Counter(
       static_cast<double>(stats.flows_rerated) / static_cast<double>(stats.recomputes));
 }
@@ -231,23 +230,22 @@ BENCHMARK(BM_ChurnFullRebuild)->Unit(benchmark::kMicrosecond);
 // (before the fallback, pool dispatch made this ~4x slower).
 void BM_ChurnIncrementalParallel(benchmark::State& state) {
   ChurnFixture fixture;
-  WfqMaxMinAllocator allocator;
-  std::unique_ptr<AllocationEngine> engine = allocator.CreateEngine(&fixture.network);
-  engine->SetSolveJobs(static_cast<int>(state.range(0)));
+  AllocationEngine engine(&fixture.network, AllocationDiscipline::kWfqSlQueues);
+  engine.SetSolveJobs(static_cast<int>(state.range(0)));
   for (ActiveFlow* flow : fixture.raw) {
-    engine->FlowAdded(flow);
+    engine.FlowAdded(flow);
   }
-  engine->Recompute();
+  engine.Recompute();
   ActiveFlow churn = fixture.MakeChurnFlow();
   for (auto _ : state) {
-    engine->FlowAdded(&churn);
-    engine->Recompute();
-    engine->FlowRemoved(&churn);
-    engine->Recompute();
+    engine.FlowAdded(&churn);
+    engine.Recompute();
+    engine.FlowRemoved(&churn);
+    engine.Recompute();
     benchmark::DoNotOptimize(churn.rate);
   }
   state.SetItemsProcessed(state.iterations() * 2);
-  const AllocationEngineStats& stats = engine->stats();
+  const AllocationEngineStats& stats = engine.stats();
   state.counters["flows_rerated_per_event"] = benchmark::Counter(
       static_cast<double>(stats.flows_rerated) / static_cast<double>(stats.recomputes));
 }
@@ -260,22 +258,21 @@ BENCHMARK(BM_ChurnIncrementalParallel)->Arg(2)->Arg(4)->Unit(benchmark::kMicrose
 // amortizes its dispatch cost; rates stay bit-identical at every Arg.
 void BM_ComponentBatchSolve(benchmark::State& state) {
   ChurnFixture fixture(/*flows_per_rack=*/48);
-  WfqMaxMinAllocator allocator;
-  std::unique_ptr<AllocationEngine> engine = allocator.CreateEngine(&fixture.network);
-  engine->SetSolveJobs(static_cast<int>(state.range(0)));
+  AllocationEngine engine(&fixture.network, AllocationDiscipline::kWfqSlQueues);
+  engine.SetSolveJobs(static_cast<int>(state.range(0)));
   for (ActiveFlow* flow : fixture.raw) {
-    engine->FlowAdded(flow);
+    engine.FlowAdded(flow);
   }
-  engine->Recompute();
+  engine.Recompute();
   for (auto _ : state) {
-    engine->InvalidateAll();
-    engine->Recompute();
+    engine.InvalidateAll();
+    engine.Recompute();
     benchmark::DoNotOptimize(fixture.raw[0]->rate);
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["components_per_solve"] =
-      benchmark::Counter(static_cast<double>(engine->stats().components_solved) /
-                         static_cast<double>(engine->stats().recomputes));
+      benchmark::Counter(static_cast<double>(engine.stats().components_solved) /
+                         static_cast<double>(engine.stats().recomputes));
 }
 BENCHMARK(BM_ComponentBatchSolve)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
 

@@ -55,7 +55,6 @@ CoRunResult RunCoRun(const Topology& topology, const std::vector<JobSpec>& jobs,
   // --- Allocator + congestion model per policy -----------------------------
   std::unique_ptr<BandwidthAllocator> allocator;
   std::unique_ptr<CentralizedController> controller;  // Saba variants only.
-  FlowSimulator* flow_sim_ptr = nullptr;              // For the weight closure below.
 
   switch (options.policy) {
     case PolicyKind::kBaseline:
@@ -96,8 +95,6 @@ CoRunResult RunCoRun(const Topology& topology, const std::vector<JobSpec>& jobs,
   // Component-parallel solving changes wall-clock only, never a rate or a
   // report byte (DESIGN.md §7.3) — scale knobs must not touch stdout.
   flow_sim.SetSolveJobs(options.solve_jobs > 0 ? options.solve_jobs : EnvSolveJobs());
-  flow_sim_ptr = &flow_sim;
-  (void)flow_sim_ptr;
 
   // --- Policy-side machinery ------------------------------------------------
   std::unique_ptr<HomaScheduler> homa;

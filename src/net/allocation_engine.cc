@@ -196,7 +196,8 @@ struct EngineSolveState {
   std::unique_ptr<WorkerPool> pool;   // Created on the first parallel batch.
   std::vector<std::unique_ptr<ComponentScratch>> arenas;  // arenas[slot].
 
-  // SolvePartitioned / Recompute component-batch scratch.
+  // Component-batch scratch: groups for both partitions, the union-find
+  // fields for SolvePartitioned (from-scratch) only.
   LinkUnionFind uf;
   std::vector<int32_t> group_of_root;  // Per link, -1 = none.
   std::vector<LinkId> group_roots;
@@ -794,17 +795,14 @@ void SolveComponentBatch(const std::vector<std::vector<ActiveFlow*>>& components
   }
 }
 
-// Partitions flows into link-sharing components and solves each. Components
-// are numbered by first appearance in the scan; the numbering (like the flow
-// order inside each group) affects nothing but scheduling. Returns the
-// component count.
-size_t SolvePartitioned(const std::vector<ActiveFlow*>& flows, const Network& net,
-                        AllocationDiscipline discipline, const PerAppWeightFn& per_app_weights,
-                        EngineSolveState* state, AllocationEngineStats* stats) {
-  if (flows.empty()) {
-    return 0;
-  }
-
+// Partitions flows into link-sharing components with a union-find over links
+// and solves each — the from-scratch oracle's partition, independent of the
+// engine's BFS. Components are numbered by first appearance in the scan; the
+// numbering (like the flow order inside each group) affects nothing but
+// scheduling.
+void SolvePartitioned(const std::vector<ActiveFlow*>& flows, const Network& net,
+                      AllocationDiscipline discipline, const PerAppWeightFn& per_app_weights,
+                      EngineSolveState* state) {
   LinkUnionFind& uf = state->uf;
   uf.Prepare(net.topology().num_links());
   for (const ActiveFlow* flow : flows) {
@@ -837,14 +835,13 @@ size_t SolvePartitioned(const std::vector<ActiveFlow*>& flows, const Network& ne
     groups[static_cast<size_t>(g)].push_back(flow);
   }
 
-  SolveComponentBatch(groups, num_groups, net, discipline, per_app_weights, state, stats);
+  SolveComponentBatch(groups, num_groups, net, discipline, per_app_weights, state, nullptr);
 
   for (const LinkId root : group_roots) {
     group_of_root[static_cast<size_t>(root)] = -1;
   }
   group_roots.clear();
   uf.Reset();
-  return num_groups;
 }
 
 }  // namespace
@@ -861,7 +858,7 @@ void AllocateFromScratch(const std::vector<ActiveFlow*>& flows, const Network& n
   // saba-lint: shared-state-ok(thread_local: each thread owns a private solve state, nothing
   // is shared across workers, and the solve it feeds is order-independent integer math)
   static thread_local EngineSolveState state;
-  SolvePartitioned(flows, net, discipline, per_app_weights, &state, nullptr);
+  SolvePartitioned(flows, net, discipline, per_app_weights, &state);
 }
 
 AllocationEngine::AllocationEngine(const Network* net, AllocationDiscipline discipline,
@@ -896,10 +893,7 @@ void AllocationEngine::MarkLinkDirty(LinkId link) {
 
 void AllocationEngine::FlowAdded(ActiveFlow* flow) {
   assert(flow != nullptr && flow->path != nullptr && !flow->path->empty());
-  const auto [it, inserted] = flows_.emplace(flow->id, flow);
-  assert(inserted && "flow ids must be unique");
-  (void)it;
-  (void)inserted;
+  ++num_flows_;
   for (LinkId l : *flow->path) {
     assert(net_->topology().LinkUsable(l) && "flow path crosses a failed link; reroute first");
     link_flows_[static_cast<size_t>(l)].push_back(flow);
@@ -908,14 +902,12 @@ void AllocationEngine::FlowAdded(ActiveFlow* flow) {
 }
 
 void AllocationEngine::FlowRemoved(ActiveFlow* flow) {
-  assert(flow != nullptr);
-  const size_t erased = flows_.erase(flow->id);
-  assert(erased == 1 && "flow not registered");
-  (void)erased;
+  assert(flow != nullptr && num_flows_ > 0);
+  --num_flows_;
   for (LinkId l : *flow->path) {
     auto& members = link_flows_[static_cast<size_t>(l)];
     const auto it = std::find(members.begin(), members.end(), flow);
-    assert(it != members.end());
+    assert(it != members.end() && "flow not registered");
     *it = members.back();
     members.pop_back();
     MarkLinkDirty(l);
@@ -924,7 +916,6 @@ void AllocationEngine::FlowRemoved(ActiveFlow* flow) {
 
 void AllocationEngine::FlowQueueChanged(ActiveFlow* flow) {
   assert(flow != nullptr);
-  assert(flows_.count(flow->id) == 1 && "flow not registered");
   for (LinkId l : *flow->path) {
     MarkLinkDirty(l);
   }
@@ -967,57 +958,58 @@ void AllocationEngine::Recompute() {
     return;
   }
   ++stats_.recomputes;
-  const size_t total = flows_.size();
-  size_t rerated = 0;
-
   if (all_dirty_) {
     ++stats_.full_recomputes;
-    all_flows_scratch_.clear();
-    all_flows_scratch_.reserve(flows_.size());
-    for (const auto& [id, flow] : flows_) {
-      all_flows_scratch_.push_back(flow);
-    }
-    stats_.components_solved += SolvePartitioned(all_flows_scratch_, *net_, discipline_,
-                                                 per_app_weights_, solve_.get(), &stats_);
-    rerated = all_flows_scratch_.size();
-  } else {
-    // Gather ALL dirty components first (the BFS stays serial and
-    // deterministic), then solve the batch — serially or fanned across the
-    // pool; either way bit-identical (DESIGN.md §7.3).
-    std::vector<std::vector<ActiveFlow*>>& components = solve_->groups;
-    size_t num_components = 0;
-    for (const LinkId seed : dirty_links_) {
-      if (link_visited_[static_cast<size_t>(seed)]) {
-        continue;  // Already part of an earlier seed's component.
+    all_dirty_ = false;
+    // Every link that carries a flow seeds the BFS below, so the full path
+    // re-solves every component through the incremental code. The scan is
+    // skipped for an empty engine: a flowless simulator under a controller
+    // still invalidates its whole fabric on every flush.
+    if (num_flows_ > 0) {
+      for (size_t l = 0; l < link_flows_.size(); ++l) {
+        if (!link_flows_[l].empty()) {
+          MarkLinkDirty(static_cast<LinkId>(l));
+        }
       }
-      if (components.size() == num_components) {
-        components.emplace_back();
-      }
-      std::vector<ActiveFlow*>& out = components[num_components];
-      out.clear();
-      CollectComponent(seed, &out);
-      if (out.empty()) {
-        continue;  // A dirty link nobody crosses (e.g. a removed flow's last link).
-      }
-      rerated += out.size();
-      ++num_components;
     }
-    SolveComponentBatch(components, num_components, *net_, discipline_, per_app_weights_,
-                        solve_.get(), &stats_);
-    stats_.components_solved += num_components;
-    for (const LinkId l : visited_scratch_) {
-      link_visited_[static_cast<size_t>(l)] = 0;
-    }
-    visited_scratch_.clear();
   }
 
+  // Gather ALL dirty components first (the BFS stays serial and
+  // deterministic), then solve the batch — serially or fanned across the
+  // pool; either way bit-identical (DESIGN.md §7.3).
+  std::vector<std::vector<ActiveFlow*>>& components = solve_->groups;
+  size_t num_components = 0;
+  size_t rerated = 0;
+  for (const LinkId seed : dirty_links_) {
+    if (link_visited_[static_cast<size_t>(seed)]) {
+      continue;  // Already part of an earlier seed's component.
+    }
+    if (components.size() == num_components) {
+      components.emplace_back();
+    }
+    std::vector<ActiveFlow*>& out = components[num_components];
+    out.clear();
+    CollectComponent(seed, &out);
+    if (out.empty()) {
+      continue;  // A dirty link nobody crosses (e.g. a removed flow's last link).
+    }
+    rerated += out.size();
+    ++num_components;
+  }
+  SolveComponentBatch(components, num_components, *net_, discipline_, per_app_weights_,
+                      solve_.get(), &stats_);
+  stats_.components_solved += num_components;
+  for (const LinkId l : visited_scratch_) {
+    link_visited_[static_cast<size_t>(l)] = 0;
+  }
+  visited_scratch_.clear();
+
   stats_.flows_rerated += rerated;
-  stats_.flows_frozen += total - rerated;
+  stats_.flows_frozen += num_flows_ - rerated;
   for (const LinkId l : dirty_links_) {
     link_dirty_[static_cast<size_t>(l)] = 0;
   }
   dirty_links_.clear();
-  all_dirty_ = false;
 }
 
 }  // namespace saba

@@ -1,6 +1,6 @@
 // Incremental allocation engine: a persistent fabric state driven by deltas.
 //
-// The stateless BandwidthAllocator interface rebuilds the whole
+// A from-scratch solve (BandwidthAllocator::Allocate) rebuilds the whole
 // flow -> queue -> link resource graph on every call, even though a typical
 // simulator event (one flow starting or completing) perturbs only the links on
 // that flow's path. AllocationEngine keeps the graph alive between events:
@@ -13,17 +13,22 @@
 // Exactness, not approximation: two flows can influence each other's rates
 // only through a chain of shared links, so a connected component of the
 // link <-> flow sharing graph is a self-contained allocation subproblem. Both
-// the engine and the from-scratch path (AllocateFromScratch, which backs the
-// classic BandwidthAllocator::Allocate) decompose the fabric into components
-// and solve each with the same code. The solve itself is fixed-point integer
+// the engine and the from-scratch path (AllocateFromScratch, which backs
+// BandwidthAllocator::Allocate) decompose the fabric into components and
+// solve each with the same code. The solve itself is fixed-point integer
 // arithmetic (units.h Bps64 + WeightUnits): rates are exact 128-bit floors of
 // rational water levels and every aggregate is a commutative integer sum, so
 // a component's rates are a pure function of its flow *multiset* — no flow
 // ordering, summation order, or tie-break exists to discipline (DESIGN.md
 // §7.1). Incremental and from-scratch rates are therefore bit-identical by
 // arithmetic — a property tests/allocation_engine_test.cc enforces under
-// randomized churn. InvalidateAll() remains as the full-recompute fallback
-// (and is what RequestReallocate maps to when the changed ports are unknown).
+// randomized churn. InvalidateAll() is the full-recompute fallback (what
+// RequestReallocate maps to when the changed ports are unknown): the next
+// Recompute() seeds the same BFS from every link that carries a flow.
+//
+// The engine holds no flow table of its own — only per-link membership and a
+// live-flow count. The caller owns the flows (FlowSimulator's id-ordered map
+// is the one flow table) and keeps each pointer valid between deltas.
 //
 // Determinism: the engine introduces no randomness and no dependence on
 // memory layout or flow order, so results are reproducible across runs and
@@ -42,7 +47,6 @@
 #define SRC_NET_ALLOCATION_ENGINE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -106,7 +110,6 @@ class AllocationEngine {
 
   // --- Delta feed ----------------------------------------------------------
   // The flow pointer must stay valid and its path stable until FlowRemoved.
-  // Flow ids must be unique among registered flows.
   void FlowAdded(ActiveFlow* flow);
   void FlowRemoved(ActiveFlow* flow);
   // The flow moved queues in place: its sl, priority, or intra_weight
@@ -115,25 +118,14 @@ class AllocationEngine {
   // The PortConfig of `link` changed (queue count, SL map, weights).
   void PortConfigChanged(LinkId link);
   // Something unattributable changed (e.g. a fabric-wide reconfiguration):
-  // the next Recompute() re-rates every flow from scratch.
+  // the next Recompute() marks every link that carries a flow dirty and
+  // re-rates every flow.
   void InvalidateAll();
 
   // Re-rates every flow in a component touched by a dirty link; all other
   // flows keep their previous rate. With no dirty state this is a no-op.
   void Recompute();
 
-  // --- Stable flow index ---------------------------------------------------
-  // Visits every registered flow in ascending id order (no copies). Policies
-  // may mutate flow attributes and feed deltas during the visit, but must not
-  // add or remove flows.
-  template <typename Fn>
-  void ForEachFlow(Fn&& fn) const {
-    for (const auto& [id, flow] : flows_) {
-      fn(static_cast<const ActiveFlow&>(*flow));
-    }
-  }
-
-  size_t flow_count() const { return flows_.size(); }
   const AllocationEngineStats& stats() const { return stats_; }
 
  private:
@@ -147,11 +139,10 @@ class AllocationEngine {
   const AllocationDiscipline discipline_;
   const PerAppWeightFn per_app_weights_;
 
-  // id -> flow: the stable, canonically ordered flow index.
-  std::map<FlowId, ActiveFlow*> flows_;
-  // Per link: flows whose path crosses it (unordered; canonical order always
-  // comes from flow ids).
+  // Per link: flows whose path crosses it (unordered; the solve is
+  // order-independent).
   std::vector<std::vector<ActiveFlow*>> link_flows_;
+  size_t num_flows_ = 0;  // Registered flows; flows_frozen is counted against it.
 
   std::vector<LinkId> dirty_links_;
   std::vector<uint8_t> link_dirty_;
@@ -161,7 +152,6 @@ class AllocationEngine {
   std::vector<uint8_t> link_visited_;
   std::vector<LinkId> visited_scratch_;
   std::vector<LinkId> bfs_queue_;
-  std::vector<ActiveFlow*> all_flows_scratch_;
 
   // Solver arenas + worker pool (per-slot scratch; DESIGN.md §7.3).
   std::unique_ptr<EngineSolveState> solve_;
@@ -170,12 +160,12 @@ class AllocationEngine {
 };
 
 // From-scratch allocation under `discipline`: partitions the flows into
-// link-sharing components (in whatever order they arrive — the integer solve
-// is order-independent) and solves each with the same component solver the
-// engine uses. This is the oracle the incremental path is tested against,
-// and the implementation behind the stateless BandwidthAllocator::Allocate
-// entry points. Flow ids must be unique. Writes ActiveFlow::rate for every
-// flow.
+// link-sharing components with a union-find (in whatever order they arrive —
+// the integer solve is order-independent) and solves each with the same
+// component solver the engine uses. This is the oracle the incremental path
+// is tested against, and the implementation behind
+// BandwidthAllocator::Allocate. Flow ids must be unique. Writes
+// ActiveFlow::rate for every flow.
 void AllocateFromScratch(const std::vector<ActiveFlow*>& flows, const Network& net,
                          AllocationDiscipline discipline,
                          const PerAppWeightFn& per_app_weights = nullptr);

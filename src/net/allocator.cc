@@ -1,38 +1,11 @@
 #include "src/net/allocator.h"
 
-#include <memory>
-
 #include "src/net/allocation_engine.h"
 
 namespace saba {
 
-// The allocators are thin strategies over the shared component solver in
-// allocation_engine.cc: Allocate() is a from-scratch run, CreateEngine()
-// yields the incremental path. Keeping both behind one implementation is what
-// guarantees their rates are bit-identical (see allocation_engine.h).
-
-void WfqMaxMinAllocator::Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) {
-  AllocateFromScratch(flows, net, AllocationDiscipline::kWfqSlQueues);
-}
-
-std::unique_ptr<AllocationEngine> WfqMaxMinAllocator::CreateEngine(const Network* net) const {
-  return std::make_unique<AllocationEngine>(net, AllocationDiscipline::kWfqSlQueues);
-}
-
-void StrictPriorityAllocator::Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) {
-  AllocateFromScratch(flows, net, AllocationDiscipline::kStrictPriority);
-}
-
-std::unique_ptr<AllocationEngine> StrictPriorityAllocator::CreateEngine(const Network* net) const {
-  return std::make_unique<AllocationEngine>(net, AllocationDiscipline::kStrictPriority);
-}
-
-void PerAppWfqAllocator::Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) {
-  AllocateFromScratch(flows, net, AllocationDiscipline::kPerAppQueues, weights_);
-}
-
-std::unique_ptr<AllocationEngine> PerAppWfqAllocator::CreateEngine(const Network* net) const {
-  return std::make_unique<AllocationEngine>(net, AllocationDiscipline::kPerAppQueues, weights_);
+void BandwidthAllocator::Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) const {
+  AllocateFromScratch(flows, net, discipline_, per_app_weights_);
 }
 
 }  // namespace saba

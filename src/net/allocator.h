@@ -23,19 +23,18 @@
 // CongestionModel according to how many distinct applications share the
 // queue at that link (see network.h for the rationale).
 //
-// Each allocator is a *strategy* over a shared allocation core
-// (src/net/allocation_engine.{h,cc}): the stateless Allocate() entry point
-// recomputes everything from scratch, while CreateEngine() yields a stateful
-// AllocationEngine that keeps the resource graph alive between events and
-// re-solves only the components touched by deltas. Both paths run the same
-// component solver, so their rates are bit-identical.
+// A BandwidthAllocator is a plain value naming what to solve: a discipline
+// plus, for per-application queues, a weight function. The solving itself
+// lives in one place, src/net/allocation_engine.{h,cc}: Allocate() is a
+// from-scratch run (AllocateFromScratch), and FlowSimulator builds an
+// AllocationEngine from the same two fields to solve incrementally. Both
+// paths run the same component solver, so their rates are bit-identical.
 
 #ifndef SRC_NET_ALLOCATOR_H_
 #define SRC_NET_ALLOCATOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -83,31 +82,40 @@ enum class AllocationDiscipline {
 // Weight of application `app` at port `link` for kPerAppQueues; must be > 0.
 using PerAppWeightFn = std::function<double(LinkId, AppId)>;
 
-class AllocationEngine;
-
 class BandwidthAllocator {
  public:
+  explicit BandwidthAllocator(AllocationDiscipline discipline,
+                              PerAppWeightFn per_app_weights = nullptr)
+      : discipline_(discipline), per_app_weights_(std::move(per_app_weights)) {}
+  // Virtual only so callers may own a named subclass through a base pointer;
+  // the subclasses add nothing but their constructor.
   virtual ~BandwidthAllocator() = default;
+  BandwidthAllocator(const BandwidthAllocator&) = default;
+  BandwidthAllocator& operator=(const BandwidthAllocator&) = default;
+  BandwidthAllocator(BandwidthAllocator&&) = default;
+  BandwidthAllocator& operator=(BandwidthAllocator&&) = default;
 
-  // Computes rates for all flows; writes ActiveFlow::rate. All flows must
-  // have non-empty paths, remaining_bits > 0, and unique ids.
-  virtual void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) = 0;
+  // Computes rates for all flows from scratch; writes ActiveFlow::rate. All
+  // flows must have non-empty paths, remaining_bits > 0, and unique ids.
+  void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) const;
 
-  // A stateful engine solving the same discipline incrementally. `net` must
-  // outlive the engine (see allocation_engine.h).
-  virtual std::unique_ptr<AllocationEngine> CreateEngine(const Network* net) const = 0;
+  AllocationDiscipline discipline() const { return discipline_; }
+  // Used by kPerAppQueues only; null means unit weight for every application.
+  const PerAppWeightFn& per_app_weights() const { return per_app_weights_; }
+
+ private:
+  AllocationDiscipline discipline_;
+  PerAppWeightFn per_app_weights_;
 };
 
 class WfqMaxMinAllocator : public BandwidthAllocator {
  public:
-  void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) override;
-  std::unique_ptr<AllocationEngine> CreateEngine(const Network* net) const override;
+  WfqMaxMinAllocator() : BandwidthAllocator(AllocationDiscipline::kWfqSlQueues) {}
 };
 
 class StrictPriorityAllocator : public BandwidthAllocator {
  public:
-  void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) override;
-  std::unique_ptr<AllocationEngine> CreateEngine(const Network* net) const override;
+  StrictPriorityAllocator() : BandwidthAllocator(AllocationDiscipline::kStrictPriority) {}
 };
 
 // WFQ where every application gets its own (virtual) queue at every port,
@@ -119,16 +127,9 @@ class StrictPriorityAllocator : public BandwidthAllocator {
 // (queues are app-pure by construction).
 class PerAppWfqAllocator : public BandwidthAllocator {
  public:
-  using WeightFn = PerAppWeightFn;
-
   // Null `weights` means unit weight for every application (ideal max-min).
-  explicit PerAppWfqAllocator(WeightFn weights = nullptr) : weights_(std::move(weights)) {}
-
-  void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) override;
-  std::unique_ptr<AllocationEngine> CreateEngine(const Network* net) const override;
-
- private:
-  WeightFn weights_;
+  explicit PerAppWfqAllocator(PerAppWeightFn weights = nullptr)
+      : BandwidthAllocator(AllocationDiscipline::kPerAppQueues, std::move(weights)) {}
 };
 
 }  // namespace saba

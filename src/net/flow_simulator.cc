@@ -20,10 +20,11 @@ double DustFor(double rate_bps) { return kCompletionDustBits + rate_bps * 1e-9; 
 }  // namespace
 
 FlowSimulator::FlowSimulator(EventScheduler* scheduler, Network* network,
-                             BandwidthAllocator* allocator)
-    : scheduler_(scheduler), network_(network), allocator_(allocator) {
-  assert(scheduler != nullptr && network != nullptr && allocator != nullptr);
-  engine_ = allocator_->CreateEngine(network_);
+                             const BandwidthAllocator* allocator)
+    : scheduler_(scheduler),
+      network_(network),
+      engine_(network, allocator->discipline(), allocator->per_app_weights()) {
+  assert(scheduler != nullptr && network != nullptr);
 }
 
 FlowId FlowSimulator::StartFlow(AppId app, NodeId src, NodeId dst, double bits, int sl,
@@ -35,27 +36,26 @@ FlowId FlowSimulator::StartFlow(AppId app, NodeId src, NodeId dst, double bits, 
   assert(intra_weight > 0);
 
   const FlowId id = next_flow_id_++;
-  auto record = std::make_unique<FlowRecord>();
-  record->flow.id = id;
-  record->flow.app = app;
-  record->flow.sl = sl;
-  record->flow.priority = 0;
-  record->flow.intra_weight = intra_weight;
-  record->flow.remaining_bits = bits;
+  // Ids only grow, so the new record always goes at the end of the table.
+  FlowRecord& record = flows_.try_emplace(flows_.end(), id)->second;
+  record.flow.id = id;
+  record.flow.app = app;
+  record.flow.sl = sl;
+  record.flow.intra_weight = intra_weight;
+  record.flow.remaining_bits = bits;
   // The simulator owns a copy of the route: router cache entries are
   // invalidated by topology mutations (routing.h contract), and the engine
   // holds flow.path between deltas. Endpoints + salt stay on the record so a
   // failure can re-resolve the same pinned connection.
-  record->src = src;
-  record->dst = dst;
-  record->path_salt = path_salt;
-  record->path_storage = network_->router().Route(src, dst, path_salt);
-  record->flow.path = &record->path_storage;
-  assert(!record->flow.path->empty() && "flow endpoints must be reachable at start");
-  record->on_complete = std::move(on_complete);
-  record->last_update = scheduler_->Now();
-  engine_->FlowAdded(&record->flow);
-  flows_.emplace(id, std::move(record));
+  record.src = src;
+  record.dst = dst;
+  record.path_salt = path_salt;
+  record.path_storage = network_->router().Route(src, dst, path_salt);
+  record.flow.path = &record.path_storage;
+  assert(!record.flow.path->empty() && "flow endpoints must be reachable at start");
+  record.on_complete = std::move(on_complete);
+  record.last_update = scheduler_->Now();
+  engine_.FlowAdded(&record.flow);
   host_egress_stale_ = true;
   MarkDirty();
   return id;
@@ -66,7 +66,7 @@ void FlowSimulator::CancelFlow(FlowId id) {
   if (it == flows_.end()) {
     return;
   }
-  engine_->FlowRemoved(&it->second->flow);
+  engine_.FlowRemoved(&it->second.flow);
   flows_.erase(it);
   ++cancelled_;
   host_egress_stale_ = true;
@@ -78,9 +78,9 @@ void FlowSimulator::SetFlowPriority(FlowId id, int priority) {
   if (it == flows_.end()) {
     return;
   }
-  if (it->second->flow.priority != priority) {
-    it->second->flow.priority = priority;
-    engine_->FlowQueueChanged(&it->second->flow);
+  if (it->second.flow.priority != priority) {
+    it->second.flow.priority = priority;
+    engine_.FlowQueueChanged(&it->second.flow);
     MarkDirty();
   }
 }
@@ -89,9 +89,9 @@ void FlowSimulator::SetAppServiceLevel(AppId app, int sl) {
   assert(sl >= 0 && sl < kNumServiceLevels);
   bool changed = false;
   for (auto& [id, record] : flows_) {
-    if (record->flow.app == app && record->flow.sl != sl) {
-      record->flow.sl = sl;
-      engine_->FlowQueueChanged(&record->flow);
+    if (record.flow.app == app && record.flow.sl != sl) {
+      record.flow.sl = sl;
+      engine_.FlowQueueChanged(&record.flow);
       changed = true;
     }
   }
@@ -103,12 +103,12 @@ void FlowSimulator::SetAppServiceLevel(AppId app, int sl) {
 void FlowSimulator::RequestReallocate() {
   // The caller reconfigured an unknown set of ports; every queue capacity is
   // suspect, so the next solve takes the full-recompute path.
-  engine_->InvalidateAll();
+  engine_.InvalidateAll();
   MarkDirty();
 }
 
 void FlowSimulator::NotifyLinkChanged(LinkId link) {
-  engine_->PortConfigChanged(link);
+  engine_.PortConfigChanged(link);
   MarkDirty();
 }
 
@@ -121,7 +121,7 @@ void FlowSimulator::HandleTopologyChange() {
   bool changed = false;
   for (auto& [id, record] : flows_) {
     bool broken = false;
-    for (LinkId l : record->path_storage) {
+    for (LinkId l : record.path_storage) {
       if (!topo.LinkUsable(l)) {
         broken = true;
         break;
@@ -130,12 +130,12 @@ void FlowSimulator::HandleTopologyChange() {
     if (!broken) {
       continue;
     }
-    engine_->FlowRemoved(&record->flow);
-    record->path_storage = router.Route(record->src, record->dst, record->path_salt);
-    assert(!record->path_storage.empty() &&
+    engine_.FlowRemoved(&record.flow);
+    record.path_storage = router.Route(record.src, record.dst, record.path_salt);
+    assert(!record.path_storage.empty() &&
            "failure scenarios must keep live flow endpoints connected");
-    record->flow.path = &record->path_storage;
-    engine_->FlowAdded(&record->flow);
+    record.flow.path = &record.path_storage;
+    engine_.FlowAdded(&record.flow);
     ++rerouted_;
     changed = true;
   }
@@ -149,7 +149,7 @@ void FlowSimulator::HandleTopologyChange() {
 
 double FlowSimulator::FlowRate(FlowId id) const {
   auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second->flow.rate;
+  return it == flows_.end() ? 0.0 : it->second.flow.rate;
 }
 
 double FlowSimulator::FlowRemainingBits(FlowId id) const {
@@ -157,7 +157,7 @@ double FlowSimulator::FlowRemainingBits(FlowId id) const {
   if (it == flows_.end()) {
     return 0.0;
   }
-  const FlowRecord& record = *it->second;
+  const FlowRecord& record = it->second;
   const double elapsed = scheduler_->Now() - record.last_update;
   return std::max(0.0, record.flow.remaining_bits - record.flow.rate * elapsed);
 }
@@ -167,9 +167,9 @@ double FlowSimulator::HostEgressRate(NodeId host) const {
   if (host_egress_stale_) {
     host_egress_.assign(network_->topology().num_nodes(), 0.0);
     for (const auto& [id, record] : flows_) {
-      if (!record->flow.path->empty()) {
-        const NodeId src = network_->topology().link(record->flow.path->front()).src;
-        host_egress_[static_cast<size_t>(src)] += record->flow.rate;
+      if (!record.flow.path->empty()) {
+        const NodeId src = network_->topology().link(record.flow.path->front()).src;
+        host_egress_[static_cast<size_t>(src)] += record.flow.rate;
       }
     }
     host_egress_stale_ = false;
@@ -208,22 +208,22 @@ void FlowSimulator::Reallocate() {
   ++allocator_runs_;
 
   for (auto& [id, record] : flows_) {
-    SyncFlow(record.get());
+    SyncFlow(&record);
   }
   if (pre_allocate_hook_) {
     pre_allocate_hook_();
   }
 
-  engine_->Recompute();
+  engine_.Recompute();
   host_egress_stale_ = true;
 
   // Re-plan the single next-completion event at the earliest finish time.
   const SimTime now = scheduler_->Now();
   SimTime next = kNeverTime;
   for (auto& [id, record] : flows_) {
-    const double rate = record->flow.rate;
+    const double rate = record.flow.rate;
     if (rate > 0) {
-      next = std::min(next, now + record->flow.remaining_bits / rate);
+      next = std::min(next, now + record.flow.remaining_bits / rate);
     }
   }
   if (next != kNeverTime && completion_quantum_ > 0) {
@@ -245,13 +245,13 @@ void FlowSimulator::OnCompletionTick() {
   // Drain everything up to now, then extract the finished flows before any
   // callback runs (callbacks may start new flows; the allocator must never
   // see the finished ones).
-  std::vector<std::unique_ptr<FlowRecord>> finished;
+  std::vector<decltype(flows_)::node_type> finished;
   for (auto it = flows_.begin(); it != flows_.end();) {
-    SyncFlow(it->second.get());
-    if (it->second->flow.remaining_bits <= DustFor(it->second->flow.rate)) {
-      engine_->FlowRemoved(&it->second->flow);
-      finished.push_back(std::move(it->second));
-      it = flows_.erase(it);
+    FlowRecord& record = it->second;
+    SyncFlow(&record);
+    if (record.flow.remaining_bits <= DustFor(record.flow.rate)) {
+      engine_.FlowRemoved(&record.flow);
+      finished.push_back(flows_.extract(it++));
     } else {
       ++it;
     }
@@ -259,9 +259,9 @@ void FlowSimulator::OnCompletionTick() {
   completed_ += finished.size();
   host_egress_stale_ = true;
   MarkDirty();  // Remaining flows need fresh rates and a new tick.
-  for (const auto& record : finished) {
-    if (record->on_complete) {
-      record->on_complete(record->flow.id);
+  for (const auto& node : finished) {
+    if (node.mapped().on_complete) {
+      node.mapped().on_complete(node.key());
     }
   }
 }

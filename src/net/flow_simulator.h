@@ -8,10 +8,12 @@
 // single allocator run.
 //
 // Allocation is incremental: the simulator streams flow/port deltas into a
-// persistent AllocationEngine (created via allocator->CreateEngine) and each
-// coalesced reallocation re-solves only the link-sharing components those
-// deltas touched (see allocation_engine.h; DESIGN.md §7.1 "Incremental
-// allocation"). The engine's rates are bit-identical to a from-scratch run.
+// persistent AllocationEngine (built from the allocator's discipline and
+// weights) and each coalesced reallocation re-solves only the link-sharing
+// components those deltas touched (see allocation_engine.h; DESIGN.md §7.1
+// "Incremental allocation"). The engine's rates are bit-identical to a
+// from-scratch run. The simulator's id-ordered map is the only flow table:
+// the engine keeps just per-link membership pointing into it.
 
 #ifndef SRC_NET_FLOW_SIMULATOR_H_
 #define SRC_NET_FLOW_SIMULATOR_H_
@@ -19,7 +21,6 @@
 #include <cassert>
 #include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -34,8 +35,9 @@ class FlowSimulator {
  public:
   using CompletionCallback = std::function<void(FlowId)>;
 
-  // All pointers must outlive the simulator.
-  FlowSimulator(EventScheduler* scheduler, Network* network, BandwidthAllocator* allocator);
+  // `scheduler` and `network` must outlive the simulator; `allocator` is
+  // read once, to build the engine.
+  FlowSimulator(EventScheduler* scheduler, Network* network, const BandwidthAllocator* allocator);
 
   FlowSimulator(const FlowSimulator&) = delete;
   FlowSimulator& operator=(const FlowSimulator&) = delete;
@@ -87,7 +89,7 @@ class FlowSimulator {
   // across `jobs` worker slots on the engine. Rates are bit-identical at
   // every setting; 1 (the default) is the serial path. The exp layer threads
   // the SABA_SOLVE_JOBS knob here (CoRunOptions::solve_jobs).
-  void SetSolveJobs(int jobs) { engine_->SetSolveJobs(jobs); }
+  void SetSolveJobs(int jobs) { engine_.SetSolveJobs(jobs); }
 
   // Quantizes flow-completion event times up to the next multiple of
   // `quantum` seconds (0 = exact, the default). Large co-runs use a coarse
@@ -120,14 +122,16 @@ class FlowSimulator {
 
   // Incremental-allocation counters (how much work the dirty-component
   // expansion saved); see AllocationEngineStats.
-  const AllocationEngineStats& engine_stats() const { return engine_->stats(); }
+  const AllocationEngineStats& engine_stats() const { return engine_.stats(); }
 
   // Visits every active flow in ascending id order without copying. Policies
   // may change flow attributes via SetFlowPriority / SetAppServiceLevel
   // during the visit, but must not start or cancel flows.
   template <typename Fn>
   void ForEachActiveFlow(Fn&& fn) const {
-    engine_->ForEachFlow(std::forward<Fn>(fn));
+    for (const auto& [id, record] : flows_) {
+      fn(record.flow);
+    }
   }
 
   EventScheduler* scheduler() { return scheduler_; }
@@ -165,20 +169,21 @@ class FlowSimulator {
 
   EventScheduler* scheduler_;
   Network* network_;
-  BandwidthAllocator* allocator_;
-  std::unique_ptr<AllocationEngine> engine_;
+  AllocationEngine engine_;
   std::function<void()> pre_allocate_hook_;
 
-  // Ordered by flow id: completion extraction, host-egress accumulation and
-  // the service-level sweep all iterate this map, so ascending-id iteration
-  // keeps callback order and float-sum order canonical across platforms
-  // (the same argument as the engine's canonical flow index, DESIGN.md
-  // §7.1). unique_ptr keeps FlowRecord addresses stable, since
-  // ActiveFlow::path points into the record itself (and the engine holds the
-  // ActiveFlow pointer between deltas). HandleTopologyChange also relies on
-  // this order: broken flows re-pin in ascending id order, which keeps the
-  // delta stream canonical for the parallel-determinism contract (§7.3).
-  std::map<FlowId, std::unique_ptr<FlowRecord>> flows_;
+  // The flow table, ordered by flow id: completion extraction, host-egress
+  // accumulation, the service-level sweep and ForEachActiveFlow all iterate
+  // it, so ascending-id iteration keeps callback order and float-sum order
+  // canonical across platforms (DESIGN.md §7.1). Map nodes never move, which
+  // keeps FlowRecord addresses stable: ActiveFlow::path points into the
+  // record itself, and the engine holds the ActiveFlow pointer between
+  // deltas. OnCompletionTick extract()s finished nodes, so a record outlives
+  // its table entry until its callback has run. HandleTopologyChange also
+  // relies on this order: broken flows re-pin in ascending id order, which
+  // keeps the delta stream canonical for the parallel-determinism contract
+  // (§7.3).
+  std::map<FlowId, FlowRecord> flows_;
   FlowId next_flow_id_ = 1;
   EventHandle next_completion_event_;
   SimTime next_completion_time_ = kNeverTime;

@@ -655,16 +655,29 @@ TEST(AllocationEngineStatsTest, UntouchedComponentsAreFrozen) {
   EXPECT_EQ(engine.stats().flows_rerated, 4u);
   EXPECT_EQ(engine.stats().flows_frozen, 3u);
 
-  // InvalidateAll falls back to a full solve of everything.
+  // InvalidateAll falls back to a full solve of everything: the one
+  // remaining component re-rates and no flow freezes.
   engine.InvalidateAll();
   engine.Recompute();
   EXPECT_EQ(engine.stats().full_recomputes, 1u);
+  EXPECT_EQ(engine.stats().components_solved, 4u);
   EXPECT_EQ(engine.stats().flows_rerated, 6u);
+  EXPECT_EQ(engine.stats().flows_frozen, 3u);
 
   // Clean engine: Recompute is a no-op.
   const uint64_t before = engine.stats().recomputes;
   engine.Recompute();
   EXPECT_EQ(engine.stats().recomputes, before);
+
+  // An empty engine still counts an invalidated recompute, but solves nothing.
+  AllocationEngine empty(&network, AllocationDiscipline::kWfqSlQueues);
+  empty.InvalidateAll();
+  empty.Recompute();
+  EXPECT_EQ(empty.stats().recomputes, 1u);
+  EXPECT_EQ(empty.stats().full_recomputes, 1u);
+  EXPECT_EQ(empty.stats().components_solved, 0u);
+  EXPECT_EQ(empty.stats().flows_rerated, 0u);
+  EXPECT_EQ(empty.stats().flows_frozen, 0u);
 }
 
 // Exact values for the parallel counters (DESIGN.md §7.3): they count

@@ -300,6 +300,46 @@ TEST_F(FatTreeFailureTest, UnrelatedFailureAndRestoreNeverMovePinnedFlows) {
   EXPECT_EQ(flow_sim_.rerouted_flow_count(), 0u);
 }
 
+// The simulator's map is the only flow table: ForEachActiveFlow must visit
+// exactly the live flows, in ascending id, after every way a flow can leave
+// or move — a cancel, a completion and a reroute (which needs the fat-tree's
+// equal-cost detours).
+TEST_F(FatTreeFailureTest, ForEachActiveFlowVisitsTheFlowTableInIdOrder) {
+  constexpr uint64_t kSalt = 3;
+  const LinkId broken = network_.router().Route(0, 15, kSalt)[1];
+  const FlowId rerouted = flow_sim_.StartFlow(0, 0, 15, Gbps(20), 0, kSalt, nullptr);
+  const FlowId cancelled = flow_sim_.StartFlow(1, 1, 14, Gbps(20), 0, 0, nullptr);
+  const FlowId completed = flow_sim_.StartFlow(2, 4, 5, Gbps(0.5), 0, 0, nullptr);
+  const FlowId survivor = flow_sim_.StartFlow(3, 6, 9, Gbps(20), 0, 1, nullptr);
+
+  std::vector<FlowId> visited;
+  auto visit = [&] {
+    visited.clear();
+    flow_sim_.ForEachActiveFlow([&](const ActiveFlow& flow) {
+      EXPECT_EQ(flow.rate, flow_sim_.FlowRate(flow.id));
+      visited.push_back(flow.id);
+    });
+  };
+  scheduler_.ScheduleAt(0.1, [&] { flow_sim_.CancelFlow(cancelled); });
+  scheduler_.ScheduleAt(0.5, [&] {
+    network_.topology().SetLinkUp(broken, false);
+    flow_sim_.HandleTopologyChange();
+  });
+  scheduler_.ScheduleAt(0.6, [&] {
+    visit();
+    EXPECT_EQ(visited.size(), flow_sim_.active_flow_count());
+    EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
+    EXPECT_EQ(visited, (std::vector<FlowId>{rerouted, survivor}));
+  });
+  scheduler_.Run();
+  EXPECT_EQ(flow_sim_.cancelled_flow_count(), 1u);
+  EXPECT_EQ(flow_sim_.rerouted_flow_count(), 1u);
+  EXPECT_EQ(flow_sim_.completed_flow_count(), 3u);
+  EXPECT_EQ(flow_sim_.FlowRate(completed), 0.0);
+  visit();
+  EXPECT_TRUE(visited.empty());
+}
+
 TEST_F(FatTreeFailureTest, DegradedLinkSlowsTheFlowWithoutRerouting) {
   // 10 Gb at 10 Gb/s; at t=0.25 a path link degrades to 5 Gb/s. 2.5 Gb have
   // drained, the remaining 7.5 Gb take 1.5 s: completion at 1.75 s.

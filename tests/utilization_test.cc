@@ -1,15 +1,17 @@
-// Quantitative checks of the §2.3 mechanism, via the trace module: LR
-// alternates compute and communication phases, while PR keeps the network
-// busy almost continuously yet stays compute-dominated — the facts behind
-// Fig 2 and behind the whole sensitivity story.
+// Quantitative checks of the §2.3 mechanism, sampled once a simulated second
+// as bench_fig2_utilization does: LR alternates compute and communication
+// phases, while PR keeps the network busy almost continuously yet stays
+// compute-dominated — the facts behind Fig 2 and behind the whole
+// sensitivity story.
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "src/net/allocator.h"
 #include "src/net/flow_simulator.h"
 #include "src/net/units.h"
 #include "src/sim/event_scheduler.h"
-#include "src/trace/timeseries.h"
 #include "src/workload/app_runtime.h"
 #include "src/workload/workload_catalog.h"
 
@@ -17,9 +19,8 @@ namespace saba {
 namespace {
 
 struct UtilizationProfile {
-  double cpu_duty = 0;        // Fraction of samples with CPU busy.
-  double net_duty = 0;        // Fraction of samples with network active.
-  double mean_net_share = 0;  // Mean egress utilization of host 0.
+  double cpu_duty = 0;  // Fraction of samples with CPU busy.
+  double net_duty = 0;  // Fraction of samples with network active.
   double completion = 0;
 };
 
@@ -31,21 +32,28 @@ UtilizationProfile Profile(const WorkloadSpec& spec, double bandwidth_fraction) 
   NullNetworkPolicy policy;
   Application app(&scheduler, &flow_sim, spec, network.topology().Hosts(), 0, &policy);
 
-  TraceRecorder recorder;
-  PeriodicSampler sampler(&scheduler, &recorder, 1.0);
-  sampler.AddProbe("cpu", [&app] { return app.IsComputing() ? 1.0 : 0.0; });
-  sampler.AddProbe("net", [&flow_sim, &network, bandwidth_fraction] {
-    return flow_sim.HostEgressRate(0) / (Gbps(56) * bandwidth_fraction);
-  });
-  sampler.Start();
+  // Every second until the app finishes: is host 0 computing, and is its
+  // egress above 5% of the (throttled) link?
+  int samples = 0;
+  int cpu_busy = 0;
+  int net_busy = 0;
+  std::function<void()> sample = [&] {
+    if (app.finished()) {
+      return;
+    }
+    ++samples;
+    cpu_busy += app.IsComputing() ? 1 : 0;
+    net_busy += flow_sim.HostEgressRate(0) / (Gbps(56) * bandwidth_fraction) >= 0.05 ? 1 : 0;
+    scheduler.ScheduleAfter(1.0, sample);
+  };
+  scheduler.ScheduleAfter(0.0, sample);
 
   UtilizationProfile result;
   app.Start([&result](AppId, SimTime seconds) { result.completion = seconds; });
   scheduler.Run();
 
-  result.cpu_duty = recorder.Find("cpu")->FractionAbove(0.5);
-  result.net_duty = recorder.Find("net")->FractionAbove(0.05);
-  result.mean_net_share = recorder.Find("net")->Mean();
+  result.cpu_duty = static_cast<double>(cpu_busy) / samples;
+  result.net_duty = static_cast<double>(net_busy) / samples;
   return result;
 }
 
