@@ -71,14 +71,6 @@ class ScaleBenchController : public DistributedController {
   }
 };
 
-// Random convex decreasing degree-3 polynomial in (1-b), as in fig12.
-SensitivityModel RandomModel(Rng* rng) {
-  const double s = rng->Uniform(0.1, 4.0);
-  const double q = rng->Uniform(0.0, 3.0);
-  const double c = rng->Uniform(0.0, 2.0);
-  return SensitivityModel{Polynomial({1 + s + q + c, -(s + 2 * q + 3 * c), q + 3 * c, -c})};
-}
-
 struct ConnSpec {
   NodeId src;
   NodeId dst;
@@ -246,7 +238,7 @@ void Run() {
   Rng model_rng(Rng::StreamSeed(seed, 1));
   for (int w = 0; w < kWorkloads; ++w) {
     SensitivityEntry entry;
-    entry.model = RandomModel(&model_rng);
+    entry.model = RandomConvexModel(3, &model_rng);
     table.Put("w" + std::to_string(w), entry);
   }
   const MappingDatabase database =

@@ -67,16 +67,6 @@ class BenchController : public CentralizedController {
   }
 };
 
-// Random convex decreasing polynomial of degree k in (1-b): slope, curvature
-// and cubic term all non-negative keeps D convex and non-increasing in b.
-SensitivityModel RandomModel(size_t degree, Rng* rng) {
-  const double s = rng->Uniform(0.1, 4.0);
-  const double q = degree >= 2 ? rng->Uniform(0.0, 3.0) : 0.0;
-  const double c = degree >= 3 ? rng->Uniform(0.0, 2.0) : 0.0;
-  // Expand 1 + s(1-b) + q(1-b)^2 + c(1-b)^3.
-  return SensitivityModel{Polynomial({1 + s + q + c, -(s + 2 * q + 3 * c), q + 3 * c, -c})};
-}
-
 struct ScenarioResult {
   double seconds = 0;
   uint64_t digest = 0;
@@ -104,7 +94,7 @@ ScenarioResult RunScenario(const Topology& topo, int num_apps, size_t degree,
   // solve the scenario's degree-k polynomials, not a default model per app.
   std::vector<SensitivityModel> models;
   for (int a = 0; a < num_apps; ++a) {
-    models.push_back(RandomModel(degree, rng));
+    models.push_back(RandomConvexModel(degree, rng));
     SensitivityEntry entry;
     entry.model = models.back();
     table.Put("app" + std::to_string(a), entry);

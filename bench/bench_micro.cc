@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/core/controller.h"
 #include "src/core/distributed_controller.h"
 #include "src/core/pl_mapper.h"
@@ -33,13 +34,6 @@
 
 namespace saba {
 namespace {
-
-SensitivityModel RandomConvexModel(Rng* rng) {
-  const double s = rng->Uniform(0.1, 4.0);
-  const double q = rng->Uniform(0.0, 3.0);
-  const double c = rng->Uniform(0.0, 2.0);
-  return SensitivityModel{Polynomial({1 + s + q + c, -(s + 2 * q + 3 * c), q + 3 * c, -c})};
-}
 
 // --- WFQ allocator vs flow count on the big fabric ---------------------------
 
@@ -72,9 +66,8 @@ struct AllocatorFixture {
 
 void BM_WfqAllocator(benchmark::State& state) {
   AllocatorFixture fixture(static_cast<int>(state.range(0)), 20);
-  WfqMaxMinAllocator allocator;
   for (auto _ : state) {
-    allocator.Allocate(fixture.raw, fixture.network);
+    AllocateFromScratch(fixture.raw, fixture.network, AllocationDiscipline::kWfqSlQueues);
     benchmark::DoNotOptimize(fixture.raw[0]->rate);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -83,9 +76,8 @@ BENCHMARK(BM_WfqAllocator)->Arg(100)->Arg(1000)->Arg(5000)->Arg(20000)->Unit(ben
 
 void BM_PerAppAllocator(benchmark::State& state) {
   AllocatorFixture fixture(static_cast<int>(state.range(0)), 20);
-  PerAppWfqAllocator allocator;
   for (auto _ : state) {
-    allocator.Allocate(fixture.raw, fixture.network);
+    AllocateFromScratch(fixture.raw, fixture.network, AllocationDiscipline::kPerAppQueues);
     benchmark::DoNotOptimize(fixture.raw[0]->rate);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -97,9 +89,8 @@ void BM_StrictPriorityAllocator(benchmark::State& state) {
   for (size_t i = 0; i < fixture.raw.size(); ++i) {
     fixture.raw[i]->priority = static_cast<int>(i % 8);
   }
-  StrictPriorityAllocator allocator;
   for (auto _ : state) {
-    allocator.Allocate(fixture.raw, fixture.network);
+    AllocateFromScratch(fixture.raw, fixture.network, AllocationDiscipline::kStrictPriority);
     benchmark::DoNotOptimize(fixture.raw[0]->rate);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -207,16 +198,15 @@ void BM_ChurnIncremental(benchmark::State& state) {
 BENCHMARK(BM_ChurnIncremental)->Unit(benchmark::kMicrosecond);
 
 // The pre-engine cost model: every event re-solves the whole fabric from
-// scratch (what BandwidthAllocator::Allocate did on each reallocation).
+// scratch (an arrival, then a departure).
 void BM_ChurnFullRebuild(benchmark::State& state) {
   ChurnFixture fixture;
-  WfqMaxMinAllocator allocator;
   ActiveFlow churn = fixture.MakeChurnFlow();
   std::vector<ActiveFlow*> with_churn = fixture.raw;
   with_churn.push_back(&churn);
   for (auto _ : state) {
-    allocator.Allocate(with_churn, fixture.network);   // Arrival.
-    allocator.Allocate(fixture.raw, fixture.network);  // Departure.
+    AllocateFromScratch(with_churn, fixture.network, AllocationDiscipline::kWfqSlQueues);
+    AllocateFromScratch(fixture.raw, fixture.network, AllocationDiscipline::kWfqSlQueues);
     benchmark::DoNotOptimize(churn.rate);
   }
   state.SetItemsProcessed(state.iterations() * 2);
@@ -282,7 +272,7 @@ void BM_WeightSolverConvex(benchmark::State& state) {
   Rng rng(11);
   std::vector<SensitivityModel> models;
   for (int64_t i = 0; i < state.range(0); ++i) {
-    models.push_back(RandomConvexModel(&rng));
+    models.push_back(RandomConvexModel(3, &rng));
   }
   WeightSolver solver;
   Rng solve_rng(13);
@@ -301,7 +291,7 @@ void BM_WeightSolverProjectedGradient(benchmark::State& state) {
   Rng rng(17);
   std::vector<SensitivityModel> models;
   for (int64_t i = 0; i < state.range(0); ++i) {
-    const SensitivityModel base = RandomConvexModel(&rng);
+    const SensitivityModel base = RandomConvexModel(3, &rng);
     std::vector<double> coeffs = base.polynomial().coefficients();
     coeffs.resize(5, 0.0);
     coeffs[4] = 0.01;
@@ -322,7 +312,7 @@ void BM_WeightSolverNonConvex(benchmark::State& state) {
   std::vector<SensitivityModel> models;
   models.push_back(SensitivityModel{Polynomial({2.0, -1.2, 0.3, -0.25, 0.05})});
   for (int64_t i = 1; i < state.range(0); ++i) {
-    models.push_back(RandomConvexModel(&rng));
+    models.push_back(RandomConvexModel(3, &rng));
   }
   WeightSolver solver;
   Rng solve_rng(19);
@@ -338,7 +328,7 @@ void BM_PlMapping(benchmark::State& state) {
   Rng rng(23);
   std::vector<SensitivityModel> models;
   for (int64_t i = 0; i < state.range(0); ++i) {
-    models.push_back(RandomConvexModel(&rng));
+    models.push_back(RandomConvexModel(3, &rng));
   }
   for (auto _ : state) {
     Rng cluster_rng(29);
@@ -351,7 +341,7 @@ void BM_QueueMapperPort(benchmark::State& state) {
   Rng rng(31);
   std::vector<SensitivityModel> pls;
   for (int i = 0; i < 16; ++i) {
-    pls.push_back(RandomConvexModel(&rng));
+    pls.push_back(RandomConvexModel(3, &rng));
   }
   QueueMapper mapper(pls);
   const std::vector<int> present = {0, 2, 3, 5, 7, 8, 11, 13, 14, 15};
@@ -389,7 +379,7 @@ struct ControllerFlushFixture {
     constexpr int kApps = 48;
     std::vector<SensitivityModel> models;
     for (int a = 0; a < kApps; ++a) {
-      models.push_back(RandomConvexModel(&rng));
+      models.push_back(RandomConvexModel(3, &rng));
       SensitivityEntry entry;
       entry.model = models.back();
       table.Put("app" + std::to_string(a), entry);
@@ -469,7 +459,7 @@ struct DistributedFlushFixture {
     constexpr int kApps = 48;
     for (int a = 0; a < kApps; ++a) {
       SensitivityEntry entry;
-      entry.model = RandomConvexModel(&rng);
+      entry.model = RandomConvexModel(3, &rng);
       table.Put("app" + std::to_string(a), entry);
     }
     ControllerOptions base;

@@ -35,6 +35,16 @@ inline SensitivityTable ProfileCatalog(uint64_t seed, size_t degree = 3) {
   return OfflineProfiler(options).ProfileAll(HiBenchCatalog());
 }
 
+// Random convex decreasing polynomial of degree k in (1-b): slope, curvature
+// and cubic term all non-negative keeps D convex and non-increasing in b.
+inline SensitivityModel RandomConvexModel(size_t degree, Rng* rng) {
+  const double s = rng->Uniform(0.1, 4.0);
+  const double q = degree >= 2 ? rng->Uniform(0.0, 3.0) : 0.0;
+  const double c = degree >= 3 ? rng->Uniform(0.0, 2.0) : 0.0;
+  // Expand 1 + s(1-b) + q(1-b)^2 + c(1-b)^3.
+  return SensitivityModel{Polynomial({1 + s + q + c, -(s + 2 * q + 3 * c), q + 3 * c, -c})};
+}
+
 // Fans `num_tasks` independent tasks across the SABA_JOBS sweep pool and
 // returns their results in task order; the sweep's tasks/s and speedup
 // counters are printed to stderr under `label`.

@@ -12,6 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "src/exp/report.h"
+#include "src/net/allocation_engine.h"
 #include "src/net/allocator.h"
 #include "src/net/packet_sim.h"
 #include "src/net/units.h"
@@ -68,8 +69,7 @@ void SinglePortStudy() {
           fluid.push_back(storage.back().get());
           packet.push_back({c.flows[f].first, c.flows[f].second, -1});
         }
-        WfqMaxMinAllocator allocator;
-        allocator.Allocate(fluid, network);
+        AllocateFromScratch(fluid, network, AllocationDiscipline::kWfqSlQueues);
         const WrrResult wrr =
             SimulateWrrPort({Gbps64(1), c.queue_weights}, packet, /*horizon=*/2.0);
 
@@ -132,8 +132,7 @@ void MultiHopStudy(uint64_t seed) {
     fluid_flows.push_back(storage.back().get());
   }
 
-  WfqMaxMinAllocator allocator;
-  allocator.Allocate(fluid_flows, network);
+  AllocateFromScratch(fluid_flows, network, AllocationDiscipline::kWfqSlQueues);
   PacketSimConfig config;
   config.horizon_seconds = 1.0;
   config.buffer_packets = 24;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "src/net/waterfill.h"
 #include "src/sim/worker_pool.h"
 
 namespace saba {
@@ -177,9 +176,6 @@ struct ComponentScratch {
   std::vector<uint8_t> frozen;
   std::vector<LevelHeapEntry> heap;
   std::vector<int32_t> batch;
-  // Single-link fast path.
-  std::vector<WaterfillEntry> wf_entries;
-  std::vector<Bps64> wf_rates;
   // SolveComponentStrict.
   std::vector<ActiveFlow*> by_class;
   LinkSlotMap remaining_slot;
@@ -553,39 +549,6 @@ void SolveComponentNested(const std::vector<ActiveFlow*>& flows, const Network& 
     s->work[r].efficiency = net.congestion().QueueEfficiency(s->res_apps[r].size());
   }
   FinishIncidence(n, num_resources, s);
-
-  if (num_link_slots == 1) {
-    // Single-link component: each queue's WFQ share is final (no other link
-    // can bind first, and every queue is fully used by its elastic flows, so
-    // redistribution could only move floor dust). Each queue then degenerates
-    // to a single-resource water-fill with elastic demands — the closed form
-    // SolveWaterfill computes directly, identical to what the progressive
-    // fill would freeze.
-    int64_t weight_sum = 0;
-    for (const int32_t r : s->link_resources[0]) {
-      weight_sum += s->work[static_cast<size_t>(r)].weight_units;
-    }
-    assert(weight_sum > 0);
-    for (const int32_t r : s->link_resources[0]) {
-      const ResourceWork& w = s->work[static_cast<size_t>(r)];
-      const Bps64 cap = RoundBps(
-          BpsToDouble(s->link_capacity[0]) *
-          (static_cast<double>(w.weight_units) / static_cast<double>(weight_sum)) * w.efficiency);
-      const int32_t begin = s->res_flow_offset[static_cast<size_t>(r)];
-      const int32_t end = s->res_flow_offset[static_cast<size_t>(r) + 1];
-      s->wf_entries.clear();
-      for (int32_t k = begin; k < end; ++k) {
-        const size_t f = static_cast<size_t>(s->res_flow[static_cast<size_t>(k)]);
-        s->wf_entries.push_back({s->flow_weight[f], kElasticDemand});
-      }
-      SolveWaterfill(cap, s->wf_entries, &s->wf_rates);
-      for (int32_t k = begin; k < end; ++k) {
-        const size_t f = static_cast<size_t>(s->res_flow[static_cast<size_t>(k)]);
-        flows[f]->rate = s->wf_rates[static_cast<size_t>(k - begin)];
-      }
-    }
-    return;
-  }
 
   SolveNestedWfqInt(flows, num_resources, num_link_slots, s);
 }

@@ -1,6 +1,6 @@
 // Incremental allocation engine: a persistent fabric state driven by deltas.
 //
-// A from-scratch solve (BandwidthAllocator::Allocate) rebuilds the whole
+// A from-scratch solve (AllocateFromScratch) rebuilds the whole
 // flow -> queue -> link resource graph on every call, even though a typical
 // simulator event (one flow starting or completing) perturbs only the links on
 // that flow's path. AllocationEngine keeps the graph alive between events:
@@ -13,16 +13,15 @@
 // Exactness, not approximation: two flows can influence each other's rates
 // only through a chain of shared links, so a connected component of the
 // link <-> flow sharing graph is a self-contained allocation subproblem. Both
-// the engine and the from-scratch path (AllocateFromScratch, which backs
-// BandwidthAllocator::Allocate) decompose the fabric into components and
-// solve each with the same code. The solve itself is fixed-point integer
-// arithmetic (units.h Bps64 + WeightUnits): rates are exact 128-bit floors of
-// rational water levels and every aggregate is a commutative integer sum, so
-// a component's rates are a pure function of its flow *multiset* — no flow
-// ordering, summation order, or tie-break exists to discipline (DESIGN.md
-// §7.1). Incremental and from-scratch rates are therefore bit-identical by
-// arithmetic — a property tests/allocation_engine_test.cc enforces under
-// randomized churn. InvalidateAll() is the full-recompute fallback (what
+// the engine and the from-scratch path (AllocateFromScratch) decompose the
+// fabric into components and solve each with the same code. The solve itself
+// is fixed-point integer arithmetic (units.h Bps64 + WeightUnits): rates are
+// exact 128-bit floors of rational water levels and every aggregate is a
+// commutative integer sum, so a component's rates are a pure function of its
+// flow *multiset* — no flow ordering, summation order, or tie-break exists to
+// discipline (DESIGN.md §7.1). Incremental and from-scratch rates are
+// therefore bit-identical by arithmetic — a property
+// tests/allocation_engine_test.cc enforces under randomized churn. InvalidateAll() is the full-recompute fallback (what
 // RequestReallocate maps to when the changed ports are unknown): the next
 // Recompute() seeds the same BFS from every link that carries a flow.
 //
@@ -163,9 +162,9 @@ class AllocationEngine {
 // link-sharing components with a union-find (in whatever order they arrive —
 // the integer solve is order-independent) and solves each with the same
 // component solver the engine uses. This is the oracle the incremental path
-// is tested against, and the implementation behind
-// BandwidthAllocator::Allocate. Flow ids must be unique. Writes
-// ActiveFlow::rate for every flow.
+// is tested against and the one from-scratch entry point. All flows must have
+// non-empty paths, remaining_bits > 0, and unique ids. Writes ActiveFlow::rate
+// for every flow.
 void AllocateFromScratch(const std::vector<ActiveFlow*>& flows, const Network& net,
                          AllocationDiscipline discipline,
                          const PerAppWeightFn& per_app_weights = nullptr);

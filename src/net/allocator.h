@@ -25,10 +25,10 @@
 //
 // A BandwidthAllocator is a plain value naming what to solve: a discipline
 // plus, for per-application queues, a weight function. The solving itself
-// lives in one place, src/net/allocation_engine.{h,cc}: Allocate() is a
-// from-scratch run (AllocateFromScratch), and FlowSimulator builds an
-// AllocationEngine from the same two fields to solve incrementally. Both
-// paths run the same component solver, so their rates are bit-identical.
+// lives in one place, src/net/allocation_engine.{h,cc}: AllocateFromScratch
+// is a from-scratch run, and FlowSimulator builds an AllocationEngine from
+// the same two fields to solve incrementally. Both paths run the same
+// component solver, so their rates are bit-identical.
 
 #ifndef SRC_NET_ALLOCATOR_H_
 #define SRC_NET_ALLOCATOR_H_
@@ -66,9 +66,10 @@ struct ActiveFlow {
   double remaining_bits = 0;
   // Path of the flow (non-empty; set by the flow simulator at start time).
   const std::vector<LinkId>* path = nullptr;
-  // Output: instantaneous rate in fixed-point bits/s, written by Allocate().
-  // Integer by design: rates come out of the integer water-fill exactly
-  // (units.h), and consumers convert to double only at the fluid boundary.
+  // Output: instantaneous rate in fixed-point bits/s, written by the
+  // allocation engine. Integer by design: rates come out of the integer fill
+  // exactly (units.h), and consumers convert to double only at the fluid
+  // boundary.
   Bps64 rate = 0;
 };
 
@@ -94,10 +95,6 @@ class BandwidthAllocator {
   BandwidthAllocator& operator=(const BandwidthAllocator&) = default;
   BandwidthAllocator(BandwidthAllocator&&) = default;
   BandwidthAllocator& operator=(BandwidthAllocator&&) = default;
-
-  // Computes rates for all flows from scratch; writes ActiveFlow::rate. All
-  // flows must have non-empty paths, remaining_bits > 0, and unique ids.
-  void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) const;
 
   AllocationDiscipline discipline() const { return discipline_; }
   // Used by kPerAppQueues only; null means unit weight for every application.

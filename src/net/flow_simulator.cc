@@ -56,7 +56,6 @@ FlowId FlowSimulator::StartFlow(AppId app, NodeId src, NodeId dst, double bits, 
   record.on_complete = std::move(on_complete);
   record.last_update = scheduler_->Now();
   engine_.FlowAdded(&record.flow);
-  host_egress_stale_ = true;
   MarkDirty();
   return id;
 }
@@ -69,7 +68,6 @@ void FlowSimulator::CancelFlow(FlowId id) {
   engine_.FlowRemoved(&it->second.flow);
   flows_.erase(it);
   ++cancelled_;
-  host_egress_stale_ = true;
   MarkDirty();
 }
 
@@ -118,7 +116,6 @@ void FlowSimulator::HandleTopologyChange() {
   // Ascending flow-id order keeps the FlowRemoved/FlowAdded delta stream
   // canonical (see flows_ comment); restores never move pinned flows, so only
   // paths that now cross an unusable link re-resolve.
-  bool changed = false;
   for (auto& [id, record] : flows_) {
     bool broken = false;
     for (LinkId l : record.path_storage) {
@@ -137,10 +134,6 @@ void FlowSimulator::HandleTopologyChange() {
     record.flow.path = &record.path_storage;
     engine_.FlowAdded(&record.flow);
     ++rerouted_;
-    changed = true;
-  }
-  if (changed) {
-    host_egress_stale_ = true;
   }
   // Even with no broken flows, usable capacity may have shifted (e.g. a
   // restored link rejoins its ECMP group); recompute rates at this instant.
@@ -164,17 +157,13 @@ double FlowSimulator::FlowRemainingBits(FlowId id) const {
 
 double FlowSimulator::HostEgressRate(NodeId host) const {
   assert(host >= 0 && static_cast<size_t>(host) < network_->topology().num_nodes());
-  if (host_egress_stale_) {
-    host_egress_.assign(network_->topology().num_nodes(), 0.0);
-    for (const auto& [id, record] : flows_) {
-      if (!record.flow.path->empty()) {
-        const NodeId src = network_->topology().link(record.flow.path->front()).src;
-        host_egress_[static_cast<size_t>(src)] += record.flow.rate;
-      }
+  double total = 0.0;
+  for (const auto& [id, record] : flows_) {
+    if (record.src == host) {
+      total += record.flow.rate;
     }
-    host_egress_stale_ = false;
   }
-  return host_egress_[static_cast<size_t>(host)];
+  return total;
 }
 
 void FlowSimulator::SyncFlow(FlowRecord* record) {
@@ -215,7 +204,6 @@ void FlowSimulator::Reallocate() {
   }
 
   engine_.Recompute();
-  host_egress_stale_ = true;
 
   // Re-plan the single next-completion event at the earliest finish time.
   const SimTime now = scheduler_->Now();
@@ -257,7 +245,6 @@ void FlowSimulator::OnCompletionTick() {
     }
   }
   completed_ += finished.size();
-  host_egress_stale_ = true;
   MarkDirty();  // Remaining flows need fresh rates and a new tick.
   for (const auto& node : finished) {
     if (node.mapped().on_complete) {

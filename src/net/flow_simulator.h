@@ -109,8 +109,8 @@ class FlowSimulator {
   // Remaining bits of a flow at the current instant; 0 if unknown.
   double FlowRemainingBits(FlowId id) const;
 
-  // Sum of rates of active flows whose source is `host` (egress throughput).
-  // O(1): served from per-host sums rebuilt lazily after rate changes.
+  // Sum of rates of active flows whose source is `host` (egress throughput),
+  // added in ascending flow-id order. O(active flows) per call.
   double HostEgressRate(NodeId host) const;
 
   size_t active_flow_count() const { return flows_.size(); }
@@ -194,11 +194,6 @@ class FlowSimulator {
   uint64_t cancelled_ = 0;
   uint64_t allocator_runs_ = 0;
   uint64_t rerouted_ = 0;
-
-  // Per-host egress sums, rebuilt on demand after any rate or flow-set
-  // change. mutable: rebuilding in the const query is invisible to callers.
-  mutable std::vector<double> host_egress_;
-  mutable bool host_egress_stale_ = true;
 };
 
 }  // namespace saba

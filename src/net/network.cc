@@ -48,12 +48,6 @@ void Network::MapSlToQueueEverywhere(int sl, int queue) {
   }
 }
 
-void Network::SetSchedulingEverywhere(PortScheduling scheduling) {
-  for (PortConfig& port : ports_) {
-    port.scheduling = scheduling;
-  }
-}
-
 void Network::SetCongestionModel(std::unique_ptr<CongestionModel> model) {
   assert(model != nullptr);
   congestion_ = std::move(model);

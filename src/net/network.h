@@ -1,9 +1,10 @@
 // The fabric: topology + per-port queue configuration + congestion model.
 //
 // Every directed link models an egress port. A port has a configurable number
-// of queues (InfiniBand Virtual Lanes), a Service-Level-to-queue map, and
-// either WFQ weights or a strict priority order — exactly the knobs Saba's
-// controller programs (paper §5.2, §7.2). Ports on NICs (host egress links)
+// of queues (InfiniBand Virtual Lanes), a Service-Level-to-queue map, and WFQ
+// weights — exactly the knobs Saba's controller programs (paper §5.2, §7.2).
+// Strict priority is not a port setting: it is an AllocationDiscipline
+// (allocator.h), chosen per simulation. Ports on NICs (host egress links)
 // carry the same structure, as InfiniBand NICs also implement VLs.
 
 #ifndef SRC_NET_NETWORK_H_
@@ -22,18 +23,12 @@ namespace saba {
 // InfiniBand supports 16 Service Levels (§5.3, §7.2).
 inline constexpr int kNumServiceLevels = 16;
 
-enum class PortScheduling {
-  kWfq = 0,             // Weighted fair queuing across queues (Saba, baselines).
-  kStrictPriority = 1,  // Queue 0 highest (Homa- and Sincronia-style policies).
-};
-
 // Per-egress-port configuration. Defaults put every SL in queue 0 with weight
 // 1 — i.e. a single FIFO shared by everyone, which is the baseline setup.
 struct PortConfig {
   int num_queues = 1;
   std::array<int, kNumServiceLevels> sl_to_queue{};  // Zero-initialized: all SLs -> queue 0.
   std::vector<double> queue_weights = {1.0};
-  PortScheduling scheduling = PortScheduling::kWfq;
 };
 
 // Models the efficiency of the congestion-control protocol within one queue.
@@ -83,7 +78,7 @@ class FecnCongestionModel : public CongestionModel {
 class Network {
  public:
   // Every port starts with `default_queues` queues, all SLs mapped to queue
-  // 0, equal weights, WFQ scheduling, and an ideal congestion model.
+  // 0, equal weights, and an ideal congestion model.
   Network(Topology topology, int default_queues = 1);
 
   Topology& topology() { return topology_; }
@@ -100,9 +95,6 @@ class Network {
 
   // Sets the SL->queue map entry on every port.
   void MapSlToQueueEverywhere(int sl, int queue);
-
-  // Sets scheduling discipline on every port.
-  void SetSchedulingEverywhere(PortScheduling scheduling);
 
   void SetCongestionModel(std::unique_ptr<CongestionModel> model);
   const CongestionModel& congestion() const { return *congestion_; }

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -309,6 +310,95 @@ TEST(AllocateFromScratchTest, FlowInputOrderNeverChangesAnyRate) {
             << "discipline " << static_cast<int>(discipline) << " trial " << trial << " flow "
             << flow.id;
       }
+    }
+  }
+}
+
+// Single-link components against the closed form: with one link no other
+// resource can bind a queue first, so each queue's capacity is its WFQ share
+// RoundBps(capacity × w_q/Σw × efficiency) and each flow gets the floor of its
+// intra-weighted share of that. The redistribution rounds must then re-home
+// nothing. That is exact when a link's queues share one efficiency (the slack
+// is floor dust under FloorDust), and holds over these random mixes under
+// FECN too. A heavy single-app queue beside a light queue mixing dozens of
+// apps is the known exception: it can gain ~1 kb/s of dust (ROADMAP.md).
+TEST(AllocateFromScratchTest, SingleLinkComponentsMatchClosedForm) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool per_app = trial % 2 == 1;
+    const int num_queues = static_cast<int>(rng.UniformInt(1, 8));
+    const int num_apps = static_cast<int>(rng.UniformInt(1, 40));
+    const Bps64 capacity = Gbps64(static_cast<double>(rng.UniformInt(1, 100)));
+    Topology topo;
+    const NodeId a = topo.AddNode(NodeKind::kHost);
+    const NodeId b = topo.AddNode(NodeKind::kHost);
+    const LinkId link = topo.AddLink(a, b, capacity);
+    Network network(std::move(topo), num_queues);
+    network.SetCongestionModel(std::make_unique<FecnCongestionModel>(trial % 4 < 2 ? 0.0 : 0.30));
+    PortConfig& port = network.port(link);
+    for (double& w : port.queue_weights) {
+      w = rng.Uniform(0.5, 4.0);
+    }
+    for (int& q : port.sl_to_queue) {
+      q = static_cast<int>(rng.UniformInt(0, num_queues - 1));
+    }
+    std::vector<double> app_weights(static_cast<size_t>(num_apps));
+    for (double& w : app_weights) {
+      w = rng.Uniform(0.5, 4.0);
+    }
+    const auto queue_of = [&](const ActiveFlow& flow) {
+      return per_app ? flow.app : port.sl_to_queue[static_cast<size_t>(flow.sl)];
+    };
+    const PerAppWeightFn app_weight = [&](LinkId, AppId app) {
+      return app_weights[static_cast<size_t>(app)];
+    };
+    const AllocationDiscipline discipline =
+        per_app ? AllocationDiscipline::kPerAppQueues : AllocationDiscipline::kWfqSlQueues;
+
+    const std::vector<LinkId> path = {link};
+    std::vector<ActiveFlow> flows(static_cast<size_t>(rng.UniformInt(2, 200)));
+    std::vector<ActiveFlow*> ptrs;
+    for (ActiveFlow& flow : flows) {
+      flow.id = static_cast<FlowId>(ptrs.size() + 1);
+      flow.app = static_cast<AppId>(rng.UniformInt(0, num_apps - 1));
+      flow.sl = static_cast<int>(rng.UniformInt(0, kNumServiceLevels - 1));
+      flow.intra_weight = rng.Bernoulli(0.2) ? 0.0625 : rng.Uniform(0.5, 2.0);
+      flow.remaining_bits = Gigabytes(1);
+      flow.path = &path;
+      ptrs.push_back(&flow);
+    }
+    AllocateFromScratch(ptrs, network, discipline, app_weight);
+
+    struct Queue {
+      int64_t weight_units = 0;
+      int64_t flow_weight_units = 0;  // Σ intra-weight units of its flows.
+      std::set<AppId> apps;
+      Bps64 capacity = 0;
+    };
+    // Keyed like the engine: the queue index, or the app for per-app queues.
+    const std::vector<double>& key_weights = per_app ? app_weights : port.queue_weights;
+    std::map<int, Queue> queues;
+    int64_t weight_sum = 0;
+    for (const ActiveFlow& flow : flows) {
+      const int key = queue_of(flow);
+      Queue& q = queues[key];
+      if (q.weight_units == 0) {
+        q.weight_units = WeightUnits(key_weights[static_cast<size_t>(key)]);
+        weight_sum += q.weight_units;
+      }
+      q.flow_weight_units += WeightUnits(flow.intra_weight);
+      q.apps.insert(flow.app);
+    }
+    for (auto& [key, q] : queues) {
+      const double share = static_cast<double>(q.weight_units) / static_cast<double>(weight_sum);
+      const double efficiency = network.congestion().QueueEfficiency(q.apps.size());
+      q.capacity = RoundBps(BpsToDouble(capacity) * share * efficiency);
+    }
+    for (const ActiveFlow& flow : flows) {
+      const Queue& q = queues.at(queue_of(flow));
+      const __int128 weighted = static_cast<__int128>(WeightUnits(flow.intra_weight)) * q.capacity;
+      ASSERT_EQ(flow.rate, static_cast<Bps64>(weighted / q.flow_weight_units))
+          << "trial " << trial << " flow " << flow.id << " (" << q.apps.size() << " apps)";
     }
   }
 }

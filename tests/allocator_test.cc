@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/net/allocation_engine.h"
 #include "src/net/network.h"
 #include "src/net/topology.h"
 #include "src/net/units.h"
@@ -47,16 +48,14 @@ class AllocatorTest : public ::testing::Test {
 
 TEST_F(AllocatorTest, SingleFlowGetsFullLinkCapacity) {
   MakeFlow(0, 0, 1, Gigabytes(1));
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   EXPECT_NEAR(flows_[0]->rate, Gbps(10), Gbps(0.001));
 }
 
 TEST_F(AllocatorTest, TwoFlowsSameQueueSplitEqually) {
   MakeFlow(0, 0, 1, Gigabytes(1));
   MakeFlow(1, 2, 1, Gigabytes(1));  // Shares only the switch->host1 egress.
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   EXPECT_NEAR(flows_[0]->rate, Gbps(5), Gbps(0.01));
   EXPECT_NEAR(flows_[1]->rate, Gbps(5), Gbps(0.01));
 }
@@ -74,8 +73,7 @@ TEST_F(AllocatorTest, QueueWeightsGiveProportionalShares) {
   }
   MakeFlow(0, 0, 1, Gigabytes(1), /*sl=*/0);
   MakeFlow(1, 2, 1, Gigabytes(1), /*sl=*/1);
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   EXPECT_NEAR(flows_[0]->rate, Gbps(7.5), Gbps(0.01));
   EXPECT_NEAR(flows_[1]->rate, Gbps(2.5), Gbps(0.01));
 }
@@ -95,8 +93,7 @@ TEST_F(AllocatorTest, WorkConservingWhenOneQueueBottleneckedElsewhere) {
   MakeFlow(0, 0, 2, Gigabytes(1), /*sl=*/0);
   // Flow into host1 from host3 in the low-weight queue.
   MakeFlow(1, 3, 1, Gigabytes(1), /*sl=*/1);
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   // Flow 0 gets 5 at host0 egress; the host1 ingress then has 5 left, which
   // flow 2 takes despite its nominal 1/4 share: work conservation.
   EXPECT_NEAR(flows_[0]->rate, Gbps(5), Gbps(0.05));
@@ -114,8 +111,7 @@ TEST_F(AllocatorTest, NoLinkIsOversubscribed) {
       }
     }
   }
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   std::vector<double> link_load(network_.topology().num_links(), 0.0);
   for (auto& f : flows_) {
     EXPECT_GT(f->rate, 0.0);
@@ -138,8 +134,7 @@ TEST_F(AllocatorTest, EveryFlowIsBottleneckedSomewhere) {
       }
     }
   }
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   // Work conservation: each flow crosses at least one saturated link.
   std::vector<double> link_load(network_.topology().num_links(), 0.0);
   for (auto& f : flows_) {
@@ -163,8 +158,7 @@ TEST_F(AllocatorTest, FecnModelShrinksCapacityUnderAppMixing) {
   network_.SetCongestionModel(std::make_unique<FecnCongestionModel>(0.2));
   MakeFlow(0, 0, 1, Gigabytes(1));
   MakeFlow(1, 2, 1, Gigabytes(1));
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   const double total = flows_[0]->rate + flows_[1]->rate;
   const double ln2 = std::log(2.0);
   const double expected_eff = 1.0 / (1.0 + 0.2 * ln2 * ln2 * 0.5);
@@ -177,8 +171,7 @@ TEST_F(AllocatorTest, FecnDoesNotPenalizeSingleAppQueues) {
   network_.MapSlToQueueEverywhere(1, 1);
   MakeFlow(0, 0, 1, Gigabytes(1), /*sl=*/0);
   MakeFlow(1, 2, 1, Gigabytes(1), /*sl=*/1);
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   EXPECT_NEAR(flows_[0]->rate + flows_[1]->rate, Gbps(10), Gbps(0.01));
 }
 
@@ -189,8 +182,7 @@ TEST_F(AllocatorTest, PerAppAllocatorSplitsByAppNotByFlowCount) {
   MakeFlow(0, 2, 1, Gigabytes(1), 0, /*salt=*/2);
   MakeFlow(0, 3, 1, Gigabytes(1), 0, /*salt=*/3);
   MakeFlow(1, 2, 1, Gigabytes(1), 0, /*salt=*/4);
-  PerAppWfqAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kPerAppQueues);
   const double app0 = flows_[0]->rate + flows_[1]->rate + flows_[2]->rate;
   EXPECT_NEAR(app0, Gbps(5), Gbps(0.05));
   EXPECT_NEAR(flows_[3]->rate, Gbps(5), Gbps(0.05));
@@ -199,8 +191,8 @@ TEST_F(AllocatorTest, PerAppAllocatorSplitsByAppNotByFlowCount) {
 TEST_F(AllocatorTest, PerAppAllocatorHonoursWeightFunction) {
   MakeFlow(0, 0, 1, Gigabytes(1));
   MakeFlow(1, 2, 1, Gigabytes(1));
-  PerAppWfqAllocator alloc([](LinkId, AppId app) { return app == 0 ? 3.0 : 1.0; });
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kPerAppQueues,
+                      [](LinkId, AppId app) { return app == 0 ? 3.0 : 1.0; });
   EXPECT_NEAR(flows_[0]->rate, Gbps(7.5), Gbps(0.05));
   EXPECT_NEAR(flows_[1]->rate, Gbps(2.5), Gbps(0.05));
 }
@@ -210,8 +202,7 @@ TEST_F(AllocatorTest, StrictPriorityServesHigherClassFirst) {
   ActiveFlow* low = MakeFlow(1, 2, 1, Gigabytes(1));
   high->priority = 0;
   low->priority = 5;
-  StrictPriorityAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kStrictPriority);
   EXPECT_NEAR(high->rate, Gbps(10), Gbps(0.01));
   EXPECT_NEAR(low->rate, 0.0, Gbps(0.01));
 }
@@ -225,8 +216,7 @@ TEST_F(AllocatorTest, StrictPriorityLowerClassGetsLeftovers) {
   high_a->priority = 0;
   high_b->priority = 0;
   low->priority = 1;
-  StrictPriorityAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kStrictPriority);
   EXPECT_NEAR(high_a->rate, Gbps(5), Gbps(0.05));
   EXPECT_NEAR(low->rate, Gbps(5), Gbps(0.05));
 }
@@ -236,8 +226,7 @@ TEST_F(AllocatorTest, SamePriorityIsMaxMinWithinClass) {
   ActiveFlow* b = MakeFlow(1, 2, 1, Gigabytes(1));
   a->priority = 2;
   b->priority = 2;
-  StrictPriorityAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kStrictPriority);
   EXPECT_NEAR(a->rate, Gbps(5), Gbps(0.05));
   EXPECT_NEAR(b->rate, Gbps(5), Gbps(0.05));
 }
@@ -283,8 +272,7 @@ TEST_P(MaxMinPropertyTest, EveryFlowHasABottleneckLink) {
     flows.push_back(storage.back().get());
   }
 
-  WfqMaxMinAllocator allocator;
-  allocator.Allocate(flows, network);
+  AllocateFromScratch(flows, network, AllocationDiscipline::kWfqSlQueues);
 
   // Per-link loads.
   std::vector<double> load(network.topology().num_links(), 0.0);
@@ -339,8 +327,7 @@ TEST_F(AllocatorTest, NestedRedistributionConvergesAcrossQueues) {
   MakeFlow(0, 0, 1, Gigabytes(1), /*sl=*/0);
   MakeFlow(1, 2, 1, Gigabytes(1), /*sl=*/1);
   MakeFlow(2, 3, 1, Gigabytes(1), /*sl=*/2);
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   EXPECT_NEAR(flows_[0]->rate, Gbps(1), Gbps(0.02));
   EXPECT_NEAR(flows_[1]->rate, Gbps(4.5), Gbps(0.1));
   EXPECT_NEAR(flows_[2]->rate, Gbps(4.5), Gbps(0.1));
@@ -355,8 +342,7 @@ TEST_F(AllocatorTest, IntraWeightsActPerQueueIndependently) {
   ActiveFlow* prefetch = MakeFlow(0, 2, 1, Gigabytes(1), /*sl=*/0, /*salt=*/2);
   prefetch->intra_weight = 0.15;
   MakeFlow(1, 3, 1, Gigabytes(1), /*sl=*/1, /*salt=*/3);
-  WfqMaxMinAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kWfqSlQueues);
   EXPECT_NEAR(flows_[2]->rate, Gbps(5), Gbps(0.05));
   EXPECT_NEAR(critical->rate, Gbps(5) * (1.0 / 1.15), Gbps(0.05));
   EXPECT_NEAR(prefetch->rate, Gbps(5) * (0.15 / 1.15), Gbps(0.05));
@@ -367,8 +353,7 @@ TEST_F(AllocatorTest, PerAppAllocatorAlsoWorkConserving) {
   network_.topology().SetLinkCapacity(network_.topology().FindLink(0, 4), Gbps64(2));
   MakeFlow(0, 0, 1, Gigabytes(1), 0, 1);
   MakeFlow(1, 2, 1, Gigabytes(1), 0, 2);
-  PerAppWfqAllocator alloc;
-  alloc.Allocate(AllFlows(), network_);
+  AllocateFromScratch(AllFlows(), network_, AllocationDiscipline::kPerAppQueues);
   EXPECT_NEAR(flows_[0]->rate, Gbps(2), Gbps(0.05));
   EXPECT_NEAR(flows_[1]->rate, Gbps(8), Gbps(0.1));
 }

@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "src/net/allocation_engine.h"
 #include "src/net/allocator.h"
 #include "src/net/units.h"
 #include "src/sim/rng.h"
@@ -132,8 +133,7 @@ TEST_P(FluidVsPacketMultiHopTest, ThroughputSharesAgree) {
     fluid_flows.push_back(storage.back().get());
   }
 
-  WfqMaxMinAllocator allocator;
-  allocator.Allocate(fluid_flows, network);
+  AllocateFromScratch(fluid_flows, network, AllocationDiscipline::kWfqSlQueues);
 
   PacketSimConfig config;
   config.horizon_seconds = 1.0;

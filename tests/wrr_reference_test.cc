@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "src/net/allocation_engine.h"
 #include "src/net/allocator.h"
 #include "src/net/network.h"
 #include "src/net/units.h"
@@ -108,8 +109,7 @@ TEST_P(FluidVsPacketTest, SharesAgreeOnASharedPort) {
     packet_flows.push_back({queue, intra, -1});
   }
 
-  WfqMaxMinAllocator allocator;
-  allocator.Allocate(fluid_flows, network);
+  AllocateFromScratch(fluid_flows, network, AllocationDiscipline::kWfqSlQueues);
   const WrrResult packets = SimulateWrrPort(port, packet_flows, kHorizon);
 
   for (int f = 0; f < num_flows; ++f) {
