@@ -213,43 +213,12 @@ void BM_ChurnFullRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ChurnFullRebuild)->Unit(benchmark::kMicrosecond);
 
-// The churn event with a worker pool configured (DESIGN.md §7.3). The
-// arrival dirties one component and the departure two tiny ones — both far
-// below kMinParallelBatchFlows, so the adaptive serial fallback must keep
-// every batch inline and the numbers should match BM_ChurnIncremental
-// (before the fallback, pool dispatch made this ~4x slower).
-void BM_ChurnIncrementalParallel(benchmark::State& state) {
-  ChurnFixture fixture;
-  AllocationEngine engine(&fixture.network, AllocationDiscipline::kWfqSlQueues);
-  engine.SetSolveJobs(static_cast<int>(state.range(0)));
-  for (ActiveFlow* flow : fixture.raw) {
-    engine.FlowAdded(flow);
-  }
-  engine.Recompute();
-  ActiveFlow churn = fixture.MakeChurnFlow();
-  for (auto _ : state) {
-    engine.FlowAdded(&churn);
-    engine.Recompute();
-    engine.FlowRemoved(&churn);
-    engine.Recompute();
-    benchmark::DoNotOptimize(churn.rate);
-  }
-  state.SetItemsProcessed(state.iterations() * 2);
-  const AllocationEngineStats& stats = engine.stats();
-  state.counters["flows_rerated_per_event"] = benchmark::Counter(
-      static_cast<double>(stats.flows_rerated) / static_cast<double>(stats.recomputes));
-}
-BENCHMARK(BM_ChurnIncrementalParallel)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
-
-// Multi-component batches: InvalidateAll makes every component dirty, so the
-// following Recompute solves the whole fixture as one batch — serially at
-// Arg 1, fanned across the pool at Args 2 and 4. The dense fixture (48
-// flows/rack) makes each rack one heavy component, the shape where fan-out
-// amortizes its dispatch cost; rates stay bit-identical at every Arg.
+// The full-recompute path: InvalidateAll makes every component dirty, so the
+// following Recompute solves the whole fixture as one batch. The dense
+// fixture (48 flows/rack) makes each rack one heavy component.
 void BM_ComponentBatchSolve(benchmark::State& state) {
   ChurnFixture fixture(/*flows_per_rack=*/48);
   AllocationEngine engine(&fixture.network, AllocationDiscipline::kWfqSlQueues);
-  engine.SetSolveJobs(static_cast<int>(state.range(0)));
   for (ActiveFlow* flow : fixture.raw) {
     engine.FlowAdded(flow);
   }
@@ -264,7 +233,7 @@ void BM_ComponentBatchSolve(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(engine.stats().components_solved) /
                          static_cast<double>(engine.stats().recomputes));
 }
-BENCHMARK(BM_ComponentBatchSolve)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ComponentBatchSolve)->Unit(benchmark::kMicrosecond);
 
 // --- Eq 2 weight solver vs application count ---------------------------------
 

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Determinism gate: the quick benches must produce byte-identical output for
-# the same seed — run-to-run, across sweep worker counts (the SweepRunner
-# contract, DESIGN.md §7 "Determinism & threading model"), and across
-# allocation solve workers (the component-parallel engine, DESIGN.md §7.3).
+# the same seed — run-to-run and across sweep worker counts (the SweepRunner
+# contract, DESIGN.md §7 "Determinism & threading model").
 # Run from the repository root after building.
 set -euo pipefail
 
@@ -35,7 +34,7 @@ status=0
 # invariant across worker counts AND across the solve cache (DESIGN.md §7.2:
 # the signature-keyed cache is an exactness-preserving memo, so cache-on and
 # cache-off runs program bit-identical state).
-SABA_SCENARIOS=4 SABA_JOBS=2 SABA_SOLVE_JOBS=4 "$BUILD/bench/bench_fig12_overhead" \
+SABA_SCENARIOS=4 SABA_JOBS=2 "$BUILD/bench/bench_fig12_overhead" \
   > "$TMP/fig12.cached" 2>/dev/null
 SABA_SCENARIOS=4 SABA_JOBS=1 SABA_SOLVE_CACHE=0 "$BUILD/bench/bench_fig12_overhead" \
   > "$TMP/fig12.uncached" 2>/dev/null
@@ -52,15 +51,11 @@ for b in "${BENCHES[@]}"; do
   "$BUILD/bench/$b" > "$TMP/$b.2" 2>/dev/null
   SABA_JOBS=1 "$BUILD/bench/$b" > "$TMP/$b.j1" 2>/dev/null
   SABA_JOBS=2 "$BUILD/bench/$b" > "$TMP/$b.j2" 2>/dev/null
-  SABA_SOLVE_JOBS=4 "$BUILD/bench/$b" > "$TMP/$b.s4" 2>/dev/null
   if ! diff -q "$TMP/$b.1" "$TMP/$b.2" > /dev/null; then
     echo "NON-DETERMINISTIC: $b (run to run)"
     status=1
   elif ! diff -q "$TMP/$b.j1" "$TMP/$b.j2" > /dev/null; then
     echo "NON-DETERMINISTIC: $b (SABA_JOBS=1 vs 2)"
-    status=1
-  elif ! diff -q "$TMP/$b.1" "$TMP/$b.s4" > /dev/null; then
-    echo "NON-DETERMINISTIC: $b (SABA_SOLVE_JOBS=1 vs 4)"
     status=1
   else
     echo "ok: $b"

@@ -8,15 +8,17 @@
 #include <limits>
 #include <sstream>
 
+#include "src/core/sensitivity.h"
 #include "src/numerics/linalg.h"
 #include "src/sim/wallclock.h"
 
 namespace saba {
 namespace {
 
-// Strict numeric field parsers for FromCsv: the whole field must be the
-// number. Corrupt replication payloads must surface as nullopt, never as an
-// exception (std::stoi throws) or a silently truncated value.
+// Strict integer field parser for FromCsv, like ParseDoubleField
+// (sensitivity.h): the whole field must be the number, and a corrupt
+// replication payload surfaces as nullopt, never as an exception (std::stoi
+// throws) or a silently truncated value.
 std::optional<long long> ParseIntField(const std::string& text) {
   if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
     return std::nullopt;
@@ -24,19 +26,6 @@ std::optional<long long> ParseIntField(const std::string& text) {
   errno = 0;
   char* end = nullptr;
   const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
-    return std::nullopt;
-  }
-  return parsed;
-}
-
-std::optional<double> ParseDoubleField(const std::string& text) {
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
   if (errno == ERANGE || end != text.c_str() + text.size()) {
     return std::nullopt;
   }

@@ -122,8 +122,7 @@ class DistributedController : public CentralizedController {
  private:
   // Batches below this many dirty ports run on the caller thread even with
   // shard_jobs > 1: pool dispatch costs a few microseconds, which dwarfs a
-  // handful of warm-cache port solves (the same adaptive fallback the
-  // allocation engine applies to tiny component batches, DESIGN.md §7.3).
+  // handful of warm-cache port solves (DESIGN.md §7.3).
   static constexpr size_t kMinParallelFlushPorts = 64;
 
   MappingDatabase database_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <sstream>
 
 namespace saba {
@@ -65,14 +68,23 @@ std::optional<SensitivityTable> SensitivityTable::FromCsv(const std::string& csv
     if (!std::getline(row, field, ',')) {
       return std::nullopt;
     }
-    entry.r_squared = std::stod(field);
-    if (!std::getline(row, field, ',')) {
+    const std::optional<double> r_squared = ParseDoubleField(field);
+    if (!r_squared.has_value() || !std::getline(row, field, ',')) {
       return std::nullopt;
     }
-    entry.base_completion_seconds = std::stod(field);
+    const std::optional<double> base_seconds = ParseDoubleField(field);
+    if (!base_seconds.has_value()) {
+      return std::nullopt;
+    }
+    entry.r_squared = *r_squared;
+    entry.base_completion_seconds = *base_seconds;
     std::vector<double> coeffs;
     while (std::getline(row, field, ',')) {
-      coeffs.push_back(std::stod(field));
+      const std::optional<double> coeff = ParseDoubleField(field);
+      if (!coeff.has_value()) {
+        return std::nullopt;
+      }
+      coeffs.push_back(*coeff);
     }
     if (coeffs.empty()) {
       return std::nullopt;
@@ -81,6 +93,19 @@ std::optional<SensitivityTable> SensitivityTable::FromCsv(const std::string& csv
     table.Put(name, std::move(entry));
   }
   return table;
+}
+
+std::optional<double> ParseDoubleField(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (errno == ERANGE || end != text.c_str() + text.size()) {
+    return std::nullopt;
+  }
+  return parsed;
 }
 
 }  // namespace saba

@@ -9,7 +9,6 @@
 #include "src/baselines/sincronia_policy.h"
 #include "src/core/distributed_controller.h"
 #include "src/core/saba_client.h"
-#include "src/exp/knobs.h"
 #include "src/net/allocator.h"
 #include "src/net/flow_simulator.h"
 #include "src/net/network.h"
@@ -92,9 +91,6 @@ CoRunResult RunCoRun(const Topology& topology, const std::vector<JobSpec>& jobs,
 
   FlowSimulator flow_sim(&scheduler, &network, allocator.get());
   flow_sim.SetCompletionQuantum(options.completion_quantum);
-  // Component-parallel solving changes wall-clock only, never a rate or a
-  // report byte (DESIGN.md §7.3) — scale knobs must not touch stdout.
-  flow_sim.SetSolveJobs(options.solve_jobs > 0 ? options.solve_jobs : EnvSolveJobs());
 
   // --- Policy-side machinery ------------------------------------------------
   std::unique_ptr<HomaScheduler> homa;

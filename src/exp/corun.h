@@ -96,11 +96,10 @@ struct CoRunOptions {
   // minutes, so a 0.25 s grid costs <2% accuracy and saves an order of
   // magnitude in reallocations.
   double completion_quantum = 0.25;
-  // Worker slots for the engine's component-parallel solves (DESIGN.md
-  // §7.3). 0 (the default) reads the SABA_SOLVE_JOBS knob, which itself
-  // defaults to 1 (serial). Rates — and therefore every report byte — are
-  // identical at every setting.
-  int solve_jobs = 0;
+  // Unread: the allocation engine always solves serially. Kept only because
+  // perfbench/src/main.cc still sets it; deleted together with that line in
+  // the next change to the benchmark.
+  int solve_jobs = 1;
   // Faults to inject while the jobs run (applied in the order given for
   // events at the same instant).
   std::vector<FailureEvent> failures;

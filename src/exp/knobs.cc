@@ -112,21 +112,6 @@ int EnvJobs() {
   return hardware > 0 ? static_cast<int>(hardware) : 1;
 }
 
-int EnvSolveJobs() {
-  const int jobs = EnvInt("SABA_SOLVE_JOBS", 1);
-  if (jobs < 0) {
-    std::cerr << "fatal: SABA_SOLVE_JOBS='" << jobs
-              << "' must be >= 0 (0 means all hardware threads, 1 is serial)\n";
-    std::exit(2);
-  }
-  if (jobs > 0) {
-    return jobs;
-  }
-  // saba-lint: allow(R7): queries the thread count, constructs no thread.
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? static_cast<int>(hardware) : 1;
-}
-
 int EnvShards() {
   const int shards = EnvInt("SABA_SHARDS", 0);
   if (shards < 0) {
@@ -151,8 +136,7 @@ std::string KnobSummary() {
   std::lock_guard<std::mutex> lock(registry_mutex);  // saba-lint: allow(R7): registry lock.
   std::string out;
   for (const Knob& knob : Registry()) {
-    if (knob.name == "SABA_SEED" || knob.name == "SABA_JOBS" ||
-        knob.name == "SABA_SOLVE_JOBS" || knob.name == "SABA_SHARDS") {
+    if (knob.name == "SABA_SEED" || knob.name == "SABA_JOBS" || knob.name == "SABA_SHARDS") {
       continue;
     }
     if (!out.empty()) {

@@ -3,10 +3,10 @@
 // Parsing is strict: a knob that is set but malformed is fatal, instead of
 // std::atoi's silent 0 turning a typo'd variable into an empty sweep. Every
 // knob read is recorded in a registry so each bench banner can print the
-// exact knob set it ran with (SABA_SEED, SABA_JOBS, SABA_SOLVE_JOBS and
-// SABA_SHARDS excluded — the seed has its own banner line and the job/shard
-// counts must not reach stdout, which is required to be byte-identical
-// across thread and shard counts).
+// exact knob set it ran with (SABA_SEED, SABA_JOBS and SABA_SHARDS excluded
+// — the seed has its own banner line and the job/shard counts must not reach
+// stdout, which is required to be byte-identical across thread and shard
+// counts).
 
 #ifndef SRC_EXP_KNOBS_H_
 #define SRC_EXP_KNOBS_H_
@@ -32,16 +32,9 @@ uint64_t EnvSeed(uint64_t fallback = 42);
 // hardware threads". Negative values are rejected.
 int EnvJobs();
 
-// SABA_SOLVE_JOBS: intra-instance worker count for the allocation engine's
-// component-parallel solves (DESIGN.md §7.3). Unset or 1 solves serially —
-// the default, so every existing bench byte-stream is unchanged; results are
-// bit-identical at every setting regardless. 0 means "all hardware threads".
-// Negative values are rejected.
-int EnvSolveJobs();
-
 // SABA_SHARDS: shard count (and flush worker count) for the distributed
 // controller's sharded flush (DESIGN.md §7.3). Unset or 0 means "the bench's
-// default sweep"; like the job knobs it is excluded from KnobSummary —
+// default sweep"; like SABA_JOBS it is excluded from KnobSummary —
 // programmed state and merged stats are bit-identical at every setting, and
 // bench stdout must stay byte-identical across shard counts (the CI
 // determinism diff depends on it). Negative values are rejected.
@@ -53,8 +46,8 @@ int EnvShards();
 std::string EnvString(const char* name, const std::string& fallback);
 
 // "SABA_SETUPS=100 [default], SABA_FIG10_INSTANCES=8" for every knob read so
-// far, in first-read order; empty if none. SABA_SEED, SABA_JOBS,
-// SABA_SOLVE_JOBS and SABA_SHARDS are omitted.
+// far, in first-read order; empty if none. SABA_SEED, SABA_JOBS and
+// SABA_SHARDS are omitted.
 std::string KnobSummary();
 
 }  // namespace saba

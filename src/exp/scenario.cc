@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -58,6 +59,114 @@ void Fail(std::string* error, int line_number, const std::string& message) {
   }
 }
 
+// True when a fabric of `nodes` nodes and `duplex_links` duplex links gets
+// ids that fit NodeId and LinkId. The counts are doubles so that products of
+// user-given counts cannot overflow; every value below 2^53 is exact.
+bool IdsFit(double nodes, double duplex_links) {
+  return nodes <= std::numeric_limits<NodeId>::max() &&
+         2 * duplex_links <= std::numeric_limits<LinkId>::max();
+}
+
+// Builds the fabric of a `topology` line from its kind and its key=value
+// parameters (every value already known to be a number). Rejects, with a
+// message, any parameter set the topology builders would abort or hang on:
+// counts must be integers, capacities positive, every pod needs a ToR and a
+// leaf, a multi-pod fabric needs a spine, and every id must fit 32 bits.
+std::optional<Topology> BuildTopologyLine(const std::string& kind,
+                                          const std::map<std::string, std::string>& kv,
+                                          std::string* error) {
+  auto reject = [error](const std::string& message) {
+    *error = message;
+    return std::optional<Topology>();
+  };
+  // Every count is checked here once, so count() below cannot fail.
+  for (const char* key : {"servers", "spine", "leaf", "tor", "hosts_per_tor", "pods", "k"}) {
+    int value = 0;
+    if (kv.count(key) > 0 && !ParseInt(kv.at(key), &value)) {
+      return reject(std::string(key) + " must be an integer");
+    }
+  }
+  auto count = [&kv](const std::string& key, int fallback) {
+    int value = fallback;
+    if (kv.count(key) > 0) {
+      ParseInt(kv.at(key), &value);
+    }
+    return value;
+  };
+  auto gbps = [&kv](const std::string& key, double fallback) {
+    double value = fallback;
+    if (kv.count(key) > 0) {
+      ParseDouble(kv.at(key), &value);
+    }
+    return value;
+  };
+  const Bps64 capacity = Gbps64(gbps("capacity_gbps", 56.0));
+  if (capacity <= 0) {
+    return reject("capacity_gbps must be positive");
+  }
+
+  if (kind == "star") {
+    const int servers = count("servers", 32);
+    if (servers < 2) {
+      return reject("star needs servers >= 2");
+    }
+    if (!IdsFit(servers + 1.0, servers)) {
+      return reject("star is too large: node and link ids must fit 32 bits");
+    }
+    return BuildSingleSwitchStar(servers, capacity);
+  }
+  if (kind == "spineleaf") {
+    SpineLeafParams params;
+    params.num_spine = count("spine", 4);
+    params.num_leaf = count("leaf", 8);
+    params.num_tor = count("tor", 8);
+    params.hosts_per_tor = count("hosts_per_tor", 9);
+    params.num_pods = count("pods", 2);
+    params.host_link_bps = params.tor_leaf_bps = params.leaf_spine_bps = capacity;
+    if (params.num_pods < 1) {
+      return reject("spineleaf needs pods >= 1");
+    }
+    if (params.num_tor < params.num_pods || params.num_leaf < params.num_pods) {
+      return reject("spineleaf needs at least one tor and one leaf per pod");
+    }
+    if (params.num_tor % params.num_pods != 0 || params.num_leaf % params.num_pods != 0) {
+      return reject("tor and leaf counts must divide evenly into pods");
+    }
+    if (params.hosts_per_tor < 1) {
+      return reject("spineleaf needs hosts_per_tor >= 1");
+    }
+    if (params.num_spine < (params.num_pods > 1 ? 1 : 0)) {
+      return reject("spineleaf needs spine >= 1 to connect its pods (spine >= 0 with one pod)");
+    }
+    const double tors = params.num_tor;
+    const double hosts = tors * params.hosts_per_tor;
+    if (!IdsFit(hosts + tors + params.num_leaf + params.num_spine,
+                hosts + tors * (params.num_leaf / params.num_pods) +
+                    static_cast<double>(params.num_leaf) * params.num_spine)) {
+      return reject("spineleaf is too large: node and link ids must fit 32 bits");
+    }
+    return BuildSpineLeaf(params);
+  }
+  if (kind == "fattree") {
+    FatTreeParams params;
+    params.k = count("k", 4);
+    params.host_link_bps = params.edge_agg_bps = capacity;
+    params.agg_core_bps = kv.count("core_gbps") > 0 ? Gbps64(gbps("core_gbps", 0)) : capacity;
+    if (params.k < 2 || params.k % 2 != 0) {
+      return reject("fattree needs an even k >= 2");
+    }
+    if (params.agg_core_bps <= 0) {
+      return reject("fattree core_gbps must be positive");
+    }
+    const double k = params.k;
+    if (!IdsFit(k * k * k / 4 + 5 * k * k / 4, 3 * k * k * k / 4)) {
+      return reject("fattree is too large: node and link ids must fit 32 bits");
+    }
+    return BuildFatTree(params);
+  }
+  return reject("unknown topology kind '" + kind + "'");
+}
+
 }  // namespace
 
 std::optional<Scenario> ParseScenario(const std::string& text, std::string* error) {
@@ -90,7 +199,7 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
         Fail(error, line_number, "topology needs a kind (star | spineleaf)");
         return std::nullopt;
       }
-      std::map<std::string, double> kv;
+      std::map<std::string, std::string> kv;
       for (size_t i = 1; i < rest.size(); ++i) {
         std::string key;
         std::string value;
@@ -99,47 +208,15 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
           Fail(error, line_number, "bad topology parameter '" + rest[i] + "'");
           return std::nullopt;
         }
-        kv[key] = number;
+        kv[key] = value;
       }
-      const Bps64 capacity = Gbps64(kv.count("capacity_gbps") ? kv["capacity_gbps"] : 56.0);
-      if (rest[0] == "star") {
-        const int servers = static_cast<int>(kv.count("servers") ? kv["servers"] : 32);
-        if (servers < 2) {
-          Fail(error, line_number, "star needs servers >= 2");
-          return std::nullopt;
-        }
-        scenario.topology = BuildSingleSwitchStar(servers, capacity);
-      } else if (rest[0] == "spineleaf") {
-        SpineLeafParams params;
-        params.num_spine = static_cast<int>(kv.count("spine") ? kv["spine"] : 4);
-        params.num_leaf = static_cast<int>(kv.count("leaf") ? kv["leaf"] : 8);
-        params.num_tor = static_cast<int>(kv.count("tor") ? kv["tor"] : 8);
-        params.hosts_per_tor = static_cast<int>(kv.count("hosts_per_tor") ? kv["hosts_per_tor"] : 9);
-        params.num_pods = static_cast<int>(kv.count("pods") ? kv["pods"] : 2);
-        params.host_link_bps = params.tor_leaf_bps = params.leaf_spine_bps = capacity;
-        if (params.num_tor % params.num_pods != 0 || params.num_leaf % params.num_pods != 0) {
-          Fail(error, line_number, "tor and leaf counts must divide evenly into pods");
-          return std::nullopt;
-        }
-        scenario.topology = BuildSpineLeaf(params);
-      } else if (rest[0] == "fattree") {
-        FatTreeParams params;
-        params.k = static_cast<int>(kv.count("k") ? kv["k"] : 4);
-        if (params.k < 2 || params.k % 2 != 0) {
-          Fail(error, line_number, "fattree needs an even k >= 2");
-          return std::nullopt;
-        }
-        params.host_link_bps = params.edge_agg_bps = capacity;
-        params.agg_core_bps = kv.count("core_gbps") ? Gbps64(kv["core_gbps"]) : capacity;
-        if (params.agg_core_bps <= 0) {
-          Fail(error, line_number, "fattree core_gbps must be positive");
-          return std::nullopt;
-        }
-        scenario.topology = BuildFatTree(params);
-      } else {
-        Fail(error, line_number, "unknown topology kind '" + rest[0] + "'");
+      std::string topology_error;
+      std::optional<Topology> topology = BuildTopologyLine(rest[0], kv, &topology_error);
+      if (!topology.has_value()) {
+        Fail(error, line_number, topology_error);
         return std::nullopt;
       }
+      scenario.topology = std::move(*topology);
       have_topology = true;
     } else if (directive == "policy") {
       if (rest.size() != 1) {
@@ -302,6 +379,12 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
   }
   if (scenario.jobs.empty()) {
     Fail(error, 0, "scenario declares no jobs");
+    return std::nullopt;
+  }
+  // Checked here, not on the policy or queues line: the two may come in
+  // either order.
+  if (scenario.options.policy == PolicyKind::kHoma && scenario.options.queues_per_port < 2) {
+    Fail(error, 0, "policy homa needs queues >= 2");
     return std::nullopt;
   }
   const size_t servers = scenario.topology.Hosts().size();

@@ -19,11 +19,14 @@
 // Topologies: `star servers=N capacity_gbps=C`,
 // `spineleaf spine=S leaf=L tor=T hosts_per_tor=H pods=P capacity_gbps=C`, or
 // `fattree k=K capacity_gbps=C core_gbps=C2` (core_gbps defaults to
-// capacity_gbps; lower it for an oversubscribed core).
+// capacity_gbps; lower it for an oversubscribed core). Counts are integers,
+// capacities positive; every spine-leaf pod needs a ToR and a leaf, more than
+// one pod needs a spine, and node and link ids must fit 32 bits.
 // Policies: baseline, saba, saba-distributed, saba-unlimited, ideal-max-min,
-// homa, sincronia, pfabric. Jobs reference catalog workload names; `nodes`, `dataset`
-// (scale factor) and `start` (seconds) are optional. Instances are placed on
-// the least-loaded servers (deterministic given the seed).
+// homa (needs queues >= 2), sincronia, pfabric. Jobs reference catalog
+// workload names; `nodes`, `dataset` (scale factor) and `start` (seconds) are
+// optional. Instances are placed on the least-loaded servers (deterministic
+// given the seed).
 //
 // Failure directives inject mid-run faults (see FailureEvent in corun.h):
 // `fail link` takes a duplex endpoint pair down at `at` (restored at `until`

@@ -14,8 +14,8 @@
 // DESIGN.md "Determinism & threading model").
 //
 // Threads come from the shared saba::WorkerPool primitive
-// (src/sim/worker_pool.h) — the same pool substrate the allocation engine's
-// component-parallel solves use (DESIGN.md §7.3). SweepRunner adds the
+// (src/sim/worker_pool.h) — the same pool substrate the distributed
+// controller's sharded flush uses (DESIGN.md §7.3). SweepRunner adds the
 // per-task exception transport and timing on top.
 
 #ifndef SRC_EXP_SWEEP_RUNNER_H_

@@ -6,8 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "src/sim/worker_pool.h"
-
 namespace saba {
 
 // -----------------------------------------------------------------------------
@@ -32,13 +30,10 @@ namespace saba {
 // function of the *multiset* of flows in a component — no summation order,
 // iteration order, or heap tie-break can change a single bit (DESIGN.md
 // §7.1). That arithmetic exactness, not ordering discipline, is what makes
-// the incremental engine bit-identical to a from-scratch run, and what makes
-// component-*parallel* solving exact (DESIGN.md §7.3): a component's solve
-// reads only the shared immutable Network and its own flows and scratch
-// arena, so fanning components across worker slots cannot change anything.
+// the incremental engine bit-identical to a from-scratch run.
 //
 // The scratch types below are file-local implementation details; they live at
-// namespace (not anonymous) scope only because EngineSolveState — forward-
+// namespace (not anonymous) scope only because ComponentScratch — forward-
 // declared in the header so the engine can own one — aggregates them.
 // -----------------------------------------------------------------------------
 
@@ -146,11 +141,8 @@ class LinkUnionFind {
   std::vector<LinkId> touched_;
 };
 
-// Per-slot solver arenas. Every piece of scratch the component solvers need
-// is an explicit field here, so concurrent component solves on pool workers
-// touch disjoint memory by construction (DESIGN.md §7.3) — no sharing
-// assumption is left implicit in thread identity. One arena exists per worker
-// slot; the serial path uses arena 0.
+// The solver arena: every piece of scratch the component solvers need, kept
+// between solves to avoid reallocation.
 //
 // The flow <-> resource incidence is CSR-shaped and built ONCE per component
 // solve (the old per-round rebuild of per-resource member vectors dominated
@@ -183,24 +175,19 @@ struct ComponentScratch {
   std::vector<ActiveFlow*> cls;
 };
 
-// Everything one solve needs besides the flows: per-slot arenas, the
-// partition scratch, and the (lazily created) worker pool. The engine owns
-// one; AllocateFromScratch keeps one per calling thread (it runs inside
-// SweepRunner tasks, where thread confinement is the isolation).
-struct EngineSolveState {
-  int jobs = 1;                       // Solve-time worker slots (>= 1).
-  std::unique_ptr<WorkerPool> pool;   // Created on the first parallel batch.
-  std::vector<std::unique_ptr<ComponentScratch>> arenas;  // arenas[slot].
+namespace {
 
-  // Component-batch scratch: groups for both partitions, the union-find
-  // fields for SolvePartitioned (from-scratch) only.
+// Everything a from-scratch solve needs besides the flows: the solver arena
+// and the union-find partition. AllocateFromScratch keeps one per calling
+// thread (it runs inside SweepRunner tasks, where thread confinement is the
+// isolation).
+struct FromScratchState {
+  ComponentScratch scratch;
   LinkUnionFind uf;
   std::vector<int32_t> group_of_root;  // Per link, -1 = none.
   std::vector<LinkId> group_roots;
   std::vector<std::vector<ActiveFlow*>> groups;
 };
-
-namespace {
 
 using Int128 = __int128;
 
@@ -555,7 +542,7 @@ void SolveComponentNested(const std::vector<ActiveFlow*>& flows, const Network& 
 
 // Strict priority over one component: classes served best (lowest value)
 // first, each getting a max-min allocation of what higher classes left. All
-// scratch lives in the per-slot arena — this solver runs once per component
+// scratch lives in the solver arena — this solver runs once per component
 // per event, so per-call heap allocation would dominate at churn rates.
 void SolveComponentStrict(const std::vector<ActiveFlow*>& flows, const Network& net,
                           ComponentScratch* s) {
@@ -675,8 +662,8 @@ void SolveComponentStrict(const std::vector<ActiveFlow*>& flows, const Network& 
 }
 
 // Solves one component under the discipline. Reads only the (immutable
-// during a solve) Network, the component's flows and the given arena — the
-// isolation the parallel batch below relies on. Flow order is irrelevant.
+// during a solve) Network, the component's flows and the given arena; writes
+// only those flows' rates. Flow order is irrelevant.
 void SolveComponent(const std::vector<ActiveFlow*>& flows, const Network& net,
                     AllocationDiscipline discipline, const PerAppWeightFn& per_app_weights,
                     ComponentScratch* scratch) {
@@ -715,57 +702,13 @@ void SolveComponent(const std::vector<ActiveFlow*>& flows, const Network& net,
   }
 }
 
-// Solves components[0..num) under the discipline. With jobs > 1, at least
-// two components, and enough total flows to amortize the dispatch
-// (kMinParallelBatchFlows) the batch is fanned across the worker pool, each
-// slot solving into its own arena; otherwise it runs serially on the calling
-// thread with arena 0. Either way every component's arithmetic is identical —
-// the choice is pure scheduling (DESIGN.md §7.3). Each component writes only
-// its own flows' rates, so "merging" is the identity.
-void SolveComponentBatch(const std::vector<std::vector<ActiveFlow*>>& components, size_t num,
-                         const Network& net, AllocationDiscipline discipline,
-                         const PerAppWeightFn& per_app_weights, EngineSolveState* state,
-                         AllocationEngineStats* stats) {
-  size_t batch_flows = 0;
-  for (size_t i = 0; i < num; ++i) {
-    batch_flows += components[i].size();
-  }
-  const bool fan_out = state->jobs > 1 && num > 1 &&
-                       batch_flows >= AllocationEngine::kMinParallelBatchFlows;
-  const size_t arenas_needed = fan_out ? static_cast<size_t>(state->jobs) : 1;
-  while (state->arenas.size() < arenas_needed) {
-    state->arenas.push_back(std::make_unique<ComponentScratch>());
-  }
-  if (!fan_out) {
-    for (size_t i = 0; i < num; ++i) {
-      SolveComponent(components[i], net, discipline, per_app_weights, state->arenas[0].get());
-    }
-    return;
-  }
-  if (state->pool == nullptr || state->pool->jobs() != state->jobs) {
-    state->pool = std::make_unique<WorkerPool>(state->jobs);
-  }
-  // saba-lint: pool-capture-ok(task i reads only components[i] and writes only the rates of
-  // that component's flows — components partition the flow set, so writes never alias across
-  // tasks; scratch lives in the slot-confined arena, §7.3)
-  state->pool->Run(num, [&](size_t i, int slot) {
-    SolveComponent(components[i], net, discipline, per_app_weights,
-                   state->arenas[static_cast<size_t>(slot)].get());
-  });
-  if (stats != nullptr) {
-    ++stats->parallel_solves;
-    stats->parallel_components += num;
-  }
-}
-
 // Partitions flows into link-sharing components with a union-find over links
 // and solves each — the from-scratch oracle's partition, independent of the
 // engine's BFS. Components are numbered by first appearance in the scan; the
-// numbering (like the flow order inside each group) affects nothing but
-// scheduling.
+// numbering (like the flow order inside each group) affects no rate.
 void SolvePartitioned(const std::vector<ActiveFlow*>& flows, const Network& net,
                       AllocationDiscipline discipline, const PerAppWeightFn& per_app_weights,
-                      EngineSolveState* state) {
+                      FromScratchState* state) {
   LinkUnionFind& uf = state->uf;
   uf.Prepare(net.topology().num_links());
   for (const ActiveFlow* flow : flows) {
@@ -798,7 +741,9 @@ void SolvePartitioned(const std::vector<ActiveFlow*>& flows, const Network& net,
     groups[static_cast<size_t>(g)].push_back(flow);
   }
 
-  SolveComponentBatch(groups, num_groups, net, discipline, per_app_weights, state, nullptr);
+  for (size_t g = 0; g < num_groups; ++g) {
+    SolveComponent(groups[g], net, discipline, per_app_weights, &state->scratch);
+  }
 
   for (const LinkId root : group_roots) {
     group_of_root[static_cast<size_t>(root)] = -1;
@@ -815,12 +760,11 @@ void AllocateFromScratch(const std::vector<ActiveFlow*>& flows, const Network& n
     return;
   }
   // Entry-point arena only: from-scratch solves run inside SweepRunner tasks
-  // on many threads at once, so the state is thread-confined here (and stays
-  // serial — jobs is never raised, so no nested pool is ever created). No
+  // on many threads at once, so the state is thread-confined here. No
   // canonical sort: the integer solve is order-independent by arithmetic.
   // saba-lint: shared-state-ok(thread_local: each thread owns a private solve state, nothing
   // is shared across workers, and the solve it feeds is order-independent integer math)
-  static thread_local EngineSolveState state;
+  static thread_local FromScratchState state;
   SolvePartitioned(flows, net, discipline, per_app_weights, &state);
 }
 
@@ -829,7 +773,7 @@ AllocationEngine::AllocationEngine(const Network* net, AllocationDiscipline disc
     : net_(net),
       discipline_(discipline),
       per_app_weights_(std::move(per_app_weights)),
-      solve_(std::make_unique<EngineSolveState>()) {
+      scratch_(std::make_unique<ComponentScratch>()) {
   assert(net != nullptr);
   const size_t num_links = net->topology().num_links();
   link_flows_.resize(num_links);
@@ -838,13 +782,6 @@ AllocationEngine::AllocationEngine(const Network* net, AllocationDiscipline disc
 }
 
 AllocationEngine::~AllocationEngine() = default;
-
-void AllocationEngine::SetSolveJobs(int jobs) {
-  assert(jobs >= 1 && "solve_jobs counts worker slots; 1 is the serial path");
-  solve_->jobs = jobs;  // The pool is (re)created lazily on the next batch.
-}
-
-int AllocationEngine::solve_jobs() const { return solve_->jobs; }
 
 void AllocationEngine::MarkLinkDirty(LinkId link) {
   assert(link >= 0 && static_cast<size_t>(link) < link_dirty_.size());
@@ -937,30 +874,23 @@ void AllocationEngine::Recompute() {
     }
   }
 
-  // Gather ALL dirty components first (the BFS stays serial and
-  // deterministic), then solve the batch — serially or fanned across the
-  // pool; either way bit-identical (DESIGN.md §7.3).
-  std::vector<std::vector<ActiveFlow*>>& components = solve_->groups;
+  // Solve each dirty component as the BFS finds it. A solve writes only its
+  // own flows' rates, so it cannot change what a later BFS collects.
   size_t num_components = 0;
   size_t rerated = 0;
   for (const LinkId seed : dirty_links_) {
     if (link_visited_[static_cast<size_t>(seed)]) {
       continue;  // Already part of an earlier seed's component.
     }
-    if (components.size() == num_components) {
-      components.emplace_back();
-    }
-    std::vector<ActiveFlow*>& out = components[num_components];
-    out.clear();
-    CollectComponent(seed, &out);
-    if (out.empty()) {
+    component_.clear();
+    CollectComponent(seed, &component_);
+    if (component_.empty()) {
       continue;  // A dirty link nobody crosses (e.g. a removed flow's last link).
     }
-    rerated += out.size();
+    SolveComponent(component_, *net_, discipline_, per_app_weights_, scratch_.get());
+    rerated += component_.size();
     ++num_components;
   }
-  SolveComponentBatch(components, num_components, *net_, discipline_, per_app_weights_,
-                      solve_.get(), &stats_);
   stats_.components_solved += num_components;
   for (const LinkId l : visited_scratch_) {
     link_visited_[static_cast<size_t>(l)] = 0;

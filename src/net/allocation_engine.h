@@ -31,16 +31,9 @@
 //
 // Determinism: the engine introduces no randomness and no dependence on
 // memory layout or flow order, so results are reproducible across runs and
-// SABA_JOBS settings (DESIGN.md §7).
-//
-// Component-parallel solving (DESIGN.md §7.3): because components are
-// independent subproblems, a solve that touches several of them may fan the
-// component solves across a saba::WorkerPool (SetSolveJobs). Scheduling never
-// reaches any component's arithmetic — each worker slot solves into its own
-// scratch arena and writes only its component's flows — so serial, parallel,
-// incremental, and from-scratch solves are all bit-identical;
-// tests/allocation_engine_test.cc enforces this under randomized churn at
-// solve_jobs ∈ {1, 2, 4}.
+// SABA_JOBS settings (DESIGN.md §7). Dirty components are solved one after
+// another on the calling thread; parallelism lives a layer up, in the
+// SweepRunner cells and the controller's sharded flush.
 
 #ifndef SRC_NET_ALLOCATION_ENGINE_H_
 #define SRC_NET_ALLOCATION_ENGINE_H_
@@ -54,25 +47,18 @@
 
 namespace saba {
 
-// Everything one solve needs that is not the flows themselves: the per-worker
-// scratch arenas, the partition scratch, and the (lazily created) worker
-// pool. Opaque — defined in allocation_engine.cc.
-struct EngineSolveState;
+// The component solver's scratch arena. Opaque — defined in
+// allocation_engine.cc.
+struct ComponentScratch;
 
 // Counters exposed for benchmarks and the co-run report. flows_rerated vs
-// flow_events shows how much work the dirty-component expansion saved. The
-// parallel_* counters are deterministic functions of (delta stream,
-// solve_jobs): both are 0 when solve_jobs == 1, and identical for every
-// solve_jobs > 1 (the dispatch decision depends only on the component count
-// and the batch's flow count — see kMinParallelBatchFlows).
+// flow_events shows how much work the dirty-component expansion saved.
 struct AllocationEngineStats {
   uint64_t recomputes = 0;        // Recompute() calls that had dirty state.
   uint64_t full_recomputes = 0;   // ... of which took the full fallback path.
   uint64_t components_solved = 0; // Connected components re-solved.
   uint64_t flows_rerated = 0;     // Flow rates recomputed, summed over solves.
   uint64_t flows_frozen = 0;      // Flows whose rates were left untouched.
-  uint64_t parallel_solves = 0;   // Component batches fanned across the pool.
-  uint64_t parallel_components = 0;  // Components solved inside those batches.
 };
 
 class AllocationEngine {
@@ -86,26 +72,6 @@ class AllocationEngine {
 
   AllocationEngine(const AllocationEngine&) = delete;
   AllocationEngine& operator=(const AllocationEngine&) = delete;
-
-  // Adaptive serial fallback: a multi-component batch is fanned across the
-  // pool only when it re-rates at least this many flows in total. Pool
-  // dispatch costs a few microseconds — ~4x the whole solve on the one- and
-  // two-component batches typical of steady-state churn (BENCH_micro.json's
-  // BM_ChurnIncrementalParallel rows) — while batches past this size (full
-  // recomputes, re-clusterings) amortize it easily. The threshold keeps the
-  // dispatch decision a pure function of the delta stream and solve_jobs.
-  static constexpr size_t kMinParallelBatchFlows = 64;
-
-  // Component-parallel solving (DESIGN.md §7.3): when a solve touches more
-  // than one dirty component, fan the component solves across `jobs` worker
-  // slots (1, the default, solves serially on the calling thread; the env
-  // knob is SABA_SOLVE_JOBS, threaded down by the exp layer). Rates are
-  // bit-identical at every setting, so this may be changed at any time, even
-  // between Recomputes. When discipline is kPerAppQueues, `per_app_weights`
-  // must be safe to call concurrently (a pure read, like the controller's
-  // AppWeightAtPort) before setting jobs > 1. jobs must be >= 1.
-  void SetSolveJobs(int jobs);
-  int solve_jobs() const;
 
   // --- Delta feed ----------------------------------------------------------
   // The flow pointer must stay valid and its path stable until FlowRemoved.
@@ -151,9 +117,9 @@ class AllocationEngine {
   std::vector<uint8_t> link_visited_;
   std::vector<LinkId> visited_scratch_;
   std::vector<LinkId> bfs_queue_;
+  std::vector<ActiveFlow*> component_;
 
-  // Solver arenas + worker pool (per-slot scratch; DESIGN.md §7.3).
-  std::unique_ptr<EngineSolveState> solve_;
+  std::unique_ptr<ComponentScratch> scratch_;  // The solver arena.
 
   AllocationEngineStats stats_;
 };

@@ -85,11 +85,10 @@ class FlowSimulator {
   // Homa-like policy refreshes size-based priorities here.
   void SetPreAllocateHook(std::function<void()> hook) { pre_allocate_hook_ = std::move(hook); }
 
-  // Component-parallel solving (DESIGN.md §7.3): fan multi-component solves
-  // across `jobs` worker slots on the engine. Rates are bit-identical at
-  // every setting; 1 (the default) is the serial path. The exp layer threads
-  // the SABA_SOLVE_JOBS knob here (CoRunOptions::solve_jobs).
-  void SetSolveJobs(int jobs) { engine_.SetSolveJobs(jobs); }
+  // No-op kept only because perfbench/src/corun_cells.cc still calls it; the
+  // engine always solves serially. Deleted together with that call in the
+  // next change to the benchmark.
+  void SetSolveJobs([[maybe_unused]] int jobs) { assert(jobs == 1); }
 
   // Quantizes flow-completion event times up to the next multiple of
   // `quantum` seconds (0 = exact, the default). Large co-runs use a coarse
@@ -181,8 +180,7 @@ class FlowSimulator {
   // deltas. OnCompletionTick extract()s finished nodes, so a record outlives
   // its table entry until its callback has run. HandleTopologyChange also
   // relies on this order: broken flows re-pin in ascending id order, which
-  // keeps the delta stream canonical for the parallel-determinism contract
-  // (§7.3).
+  // keeps the delta stream canonical (§7.4).
   std::map<FlowId, FlowRecord> flows_;
   FlowId next_flow_id_ = 1;
   EventHandle next_completion_event_;

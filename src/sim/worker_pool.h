@@ -2,9 +2,9 @@
 // construction in this repository.
 //
 // Both inter-instance parallelism (SweepRunner fanning bench tasks, DESIGN.md
-// §7) and intra-instance parallelism (the allocation engine solving
-// independent dirty components concurrently, DESIGN.md §7.3) run on this
-// primitive instead of spawning their own threads. Centralizing thread and
+// §7) and intra-instance parallelism (the distributed controller flushing
+// its shards concurrently, DESIGN.md §7.3) run on this primitive instead of
+// spawning their own threads. Centralizing thread and
 // lock construction keeps the determinism argument auditable — saba-lint rule
 // R7 bans raw std::thread / std::async / mutex construction everywhere else —
 // and gives the TSan CI job a single scheduling substrate to certify.

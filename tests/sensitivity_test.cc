@@ -87,6 +87,10 @@ TEST(SensitivityTableTest, FromCsvRejectsMalformedRows) {
   EXPECT_FALSE(SensitivityTable::FromCsv("name,0.9,100").has_value());  // No coefficients.
   EXPECT_TRUE(SensitivityTable::FromCsv("name,0.9,100,1.0").has_value());
   EXPECT_TRUE(SensitivityTable::FromCsv("").has_value());  // Empty table is fine.
+  // Corrupt fields come back as nullopt: no exception, no truncated value.
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,abc,100,1.0").has_value());
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9,100,1e999").has_value());
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9,100,1.0x").has_value());
 }
 
 }  // namespace
