@@ -14,10 +14,11 @@
 // SABA_SHARDS picks one shard count; unset or 0 sweeps {1, 2, 4, 8}.
 // Timings go to stderr. stdout carries only the banner and the programmed
 // state's digest + invariant counters, which are bit-identical at every
-// shard count (tests/sharded_flush_test.cc proves the contract; CI diffs
-// this binary's stdout at SABA_SHARDS=1 vs 8). Run on an idle multicore
-// host when the latency curve matters; on a single core the sweep still
-// verifies the invariants but every shard count costs the same wall time.
+// shard count (tests/sharded_flush_test.cc proves the contract;
+// scripts/check_repro.sh diffs this binary's stdout at SABA_SHARDS=1 vs 8).
+// Run on an idle multicore host when the latency curve matters; on a single
+// core the sweep still verifies the invariants but every shard count costs
+// the same wall time.
 //
 // Scale knobs: SABA_FIG11_SCALE (fabric multiplier; 5 is the ~10k-server
 // paper scale), SABA_FIG11_SCALE_FLOWS (target concurrent flows; ~1M
@@ -32,7 +33,6 @@
 
 #include "bench/bench_util.h"
 #include "src/core/distributed_controller.h"
-#include "src/core/solve_cache.h"
 #include "src/exp/report.h"
 #include "src/net/units.h"
 #include "src/numerics/stats.h"
@@ -40,36 +40,6 @@
 
 namespace saba {
 namespace {
-
-// Exposes a deterministic fingerprint of everything the controller
-// programmed (the bench_fig12_overhead idiom): per-port SL tables, queue
-// weights, and solved per-app weights, in ascending link order. A pure
-// function of the churn schedule — num_shards and shard_jobs must not move
-// it.
-class ScaleBenchController : public DistributedController {
- public:
-  using DistributedController::DistributedController;
-
-  uint64_t StateDigest(const Network& network) const {
-    uint64_t h = kFnvOffsetBasis;
-    const size_t num_links = network.topology().num_links();
-    for (LinkId link = 0; link < static_cast<LinkId>(num_links); ++link) {
-      const PortConfig& port = network.port(link);
-      h = HashBytes(h, port.sl_to_queue.data(), port.sl_to_queue.size() * sizeof(int));
-      h = HashBytes(h, port.queue_weights.data(), port.queue_weights.size() * sizeof(double));
-      auto it = port_weights_.find(link);
-      if (it == port_weights_.end()) {
-        continue;
-      }
-      for (const auto& [app, weight] : it->second) {
-        // Field by field: pair<AppId, double> has padding bytes.
-        h = HashBytes(h, &app, sizeof(app));
-        h = HashBytes(h, &weight, sizeof(weight));
-      }
-    }
-    return h;
-  }
-};
 
 struct ConnSpec {
   NodeId src;
@@ -165,7 +135,7 @@ UniverseResult RunUniverse(const Topology& topo, const SensitivityTable& table,
   options.base.seed = controller_seed;
   options.num_shards = shards;
   options.shard_jobs = shards;
-  ScaleBenchController controller(&network, &flow_sim, &table, database, options);
+  DistributedController controller(&network, &flow_sim, &table, database, options);
 
   const auto settle = [&] { scheduler.RunUntil(scheduler.Now() + 1e-9); };
   const auto arrive = [&](const JobSpec& job) {
@@ -192,7 +162,7 @@ UniverseResult RunUniverse(const Topology& topo, const SensitivityTable& table,
     result.churn_flush_seconds.push_back(controller.stats().last_calc_wall_seconds);
   }
 
-  result.digest = controller.StateDigest(network);
+  result.digest = controller.StateDigest();
   result.port_reconfigurations = controller.stats().port_reconfigurations;
   result.flushes = controller.distributed_stats().flushes;
   result.ports_flushed = controller.distributed_stats().ports_flushed;
@@ -291,7 +261,7 @@ void Run() {
   }
 
   // Shard-count-invariant report: these lines must be byte-identical for
-  // every SABA_SHARDS setting (CI diffs SABA_SHARDS=1 against =8).
+  // every SABA_SHARDS setting (scripts/check_repro.sh diffs 1 against 8).
   char digest_line[64];
   std::snprintf(digest_line, sizeof(digest_line), "state digest: %016llx",
                 static_cast<unsigned long long>(results[0].digest));

@@ -34,39 +34,6 @@
 namespace saba {
 namespace {
 
-// Exposes the static-registration path so scenario construction does not pay
-// for per-registration K-means (the profiler performs the clustering offline
-// in this experiment, as in §5.4).
-class BenchController : public CentralizedController {
- public:
-  using CentralizedController::CentralizedController;
-  using CentralizedController::InstallPlModels;
-  using CentralizedController::RegisterAppStatic;
-
-  // FNV fingerprint of everything the controller programmed: per-port SL
-  // tables, queue weights, and solved per-app weights, in ascending link
-  // order. Pure function of the scenario (not of cache mode or job count).
-  uint64_t StateDigest(const Network& network) const {
-    uint64_t h = kFnvOffsetBasis;
-    const size_t num_links = network.topology().num_links();
-    for (LinkId link = 0; link < static_cast<LinkId>(num_links); ++link) {
-      const PortConfig& port = network.port(link);
-      h = HashBytes(h, port.sl_to_queue.data(), port.sl_to_queue.size() * sizeof(int));
-      h = HashBytes(h, port.queue_weights.data(), port.queue_weights.size() * sizeof(double));
-      auto it = port_weights_.find(link);
-      if (it == port_weights_.end()) {
-        continue;
-      }
-      for (const auto& [app, weight] : it->second) {
-        // Field by field: pair<AppId, double> has padding bytes.
-        h = HashBytes(h, &app, sizeof(app));
-        h = HashBytes(h, &weight, sizeof(weight));
-      }
-    }
-    return h;
-  }
-};
-
 struct ScenarioResult {
   double seconds = 0;
   uint64_t digest = 0;
@@ -87,11 +54,13 @@ ScenarioResult RunScenario(const Topology& topo, int num_apps, size_t degree,
   options.num_pls = 8;
   options.solve_cache = solve_cache;
   options.seed = rng->Next();
-  BenchController controller(&network, &flow_sim, &table, options);
+  CentralizedController controller(&network, &flow_sim, &table, options);
 
-  // Offline PL geometry over the scenario's models. Each app's model also
-  // goes into the sensitivity table under its registration name: Eq 2 must
-  // solve the scenario's degree-k polynomials, not a default model per app.
+  // Offline PL geometry over the scenario's models (the profiler clusters
+  // offline, as in §5.4, so registration pays no per-app K-means). Each
+  // app's model also goes into the sensitivity table under its registration
+  // name: Eq 2 must solve the scenario's degree-k polynomials, not a default
+  // model per app.
   std::vector<SensitivityModel> models;
   for (int a = 0; a < num_apps; ++a) {
     models.push_back(RandomConvexModel(degree, rng));
@@ -124,7 +93,7 @@ ScenarioResult RunScenario(const Topology& topo, int num_apps, size_t degree,
   // The Fig 12 quantity: recompute Eq 2 + queue mapping for every active port.
   ScenarioResult result;
   result.seconds = controller.RecomputeAllPortsTimed();
-  result.digest = controller.StateDigest(network);
+  result.digest = controller.StateDigest();
   return result;
 }
 

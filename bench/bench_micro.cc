@@ -322,13 +322,6 @@ BENCHMARK(BM_QueueMapperPort)->Arg(2)->Arg(4)->Arg(8);
 
 // --- Controller flush (signature-keyed solve cache, DESIGN.md §7.2) ----------
 
-class FlushBenchController : public CentralizedController {
- public:
-  using CentralizedController::CentralizedController;
-  using CentralizedController::InstallPlModels;
-  using CentralizedController::RegisterAppStatic;
-};
-
 // A fig12-style scenario on a small spine-leaf fabric: 48 apps with distinct
 // convex models, 32 instances each, fanout-4 ring connections. The scheduler
 // never runs, so all controller work lands in the timed recompute.
@@ -383,7 +376,7 @@ struct ControllerFlushFixture {
   WfqMaxMinAllocator allocator;
   FlowSimulator flow_sim;
   SensitivityTable table;
-  std::optional<FlushBenchController> controller;
+  std::optional<CentralizedController> controller;
 };
 
 void ControllerFlushBench(benchmark::State& state, bool solve_cache) {

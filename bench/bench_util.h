@@ -57,16 +57,6 @@ std::vector<T> RunSweep(const std::string& label, size_t num_tasks,
   return results;
 }
 
-// Seeded variant: each task gets the private stream Rng::ForStream(seed, i).
-template <typename T>
-std::vector<T> RunSeededSweep(const std::string& label, size_t num_tasks, uint64_t root_seed,
-                              const std::function<T(size_t, Rng*)>& task) {
-  SweepRunner runner;
-  std::vector<T> results = runner.MapSeeded<T>(num_tasks, root_seed, task);
-  std::cerr << "[sweep " << label << "] " << runner.stats().Summary() << '\n';
-  return results;
-}
-
 }  // namespace saba
 
 #endif  // BENCH_BENCH_UTIL_H_

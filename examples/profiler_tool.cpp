@@ -8,10 +8,11 @@
 //   ./build/examples/profiler_tool LR 2         # ... with a degree-2 fit
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "src/core/profiler.h"
+#include "src/exp/knobs.h"
 #include "src/workload/workload_catalog.h"
 
 int main(int argc, char** argv) {
@@ -19,12 +20,12 @@ int main(int argc, char** argv) {
 
   ProfilerOptions options;
   if (argc >= 3) {
-    const int degree = std::atoi(argv[2]);
-    if (degree < 1 || degree > 5) {
+    const std::optional<int64_t> degree = ParseInt64(argv[2]);
+    if (!degree.has_value() || *degree < 1 || *degree > 5) {
       std::fprintf(stderr, "usage: %s [workload] [degree 1..5]\n", argv[0]);
       return 1;
     }
-    options.polynomial_degree = static_cast<size_t>(degree);
+    options.polynomial_degree = static_cast<size_t>(*degree);
   }
   OfflineProfiler profiler(options);
 

@@ -15,9 +15,7 @@ CentralizedController::CentralizedController(Network* network, FlowSimulator* fl
       flow_sim_(flow_sim),
       table_(table),
       options_(options),
-      solver_({.capacity = options.c_saba,
-               .min_weight = options.min_weight,
-               .relative_min_weight = options.relative_min_weight}),
+      solver_({.capacity = options.c_saba, .relative_min_weight = options.relative_min_weight}),
       rng_(options.seed),
       solve_ctx_(options.solve_cache) {
   assert(network_ != nullptr);
@@ -225,7 +223,6 @@ void CentralizedController::ReallocatePort(LinkId link, PortSolveContext* ctx) {
   std::vector<int>& app_pls = ctx->app_pls;
   PortSignature& sig = ctx->sig;
   std::vector<SensitivityModel>& canonical_models = ctx->canonical_models;
-  std::vector<double>& uncached_weights = ctx->uncached_weights;
   std::vector<int>& present_pls = ctx->present_pls;
   std::vector<double>& queue_weights = ctx->queue_weights;
 
@@ -246,10 +243,9 @@ void CentralizedController::ReallocatePort(LinkId link, PortSolveContext* ctx) {
   // the app mix, so the solve cache can replay it bit-identically for every
   // other port carrying the same mix (DESIGN.md §7.2).
   BuildPortSignature(models, &sig);
-  const std::vector<double>* canonical_weights;
-  if (const Eq2SolveCache::Entry* entry = ctx->cache.Find(sig); entry != nullptr) {
+  const std::vector<double>* canonical_weights = ctx->cache.Find(sig);
+  if (canonical_weights != nullptr) {
     ++ctx->cache_hits;
-    canonical_weights = &entry->weights;
   } else {
     ++ctx->cache_misses;
     canonical_models.clear();
@@ -259,13 +255,7 @@ void CentralizedController::ReallocatePort(LinkId link, PortSolveContext* ctx) {
     }
     Rng solve_rng = Rng::ForStream(options_.seed, sig.hash);
     WeightSolverResult solved = solver_.Solve(canonical_models, &solve_rng);
-    if (ctx->cache.enabled()) {
-      canonical_weights =
-          &ctx->cache.Insert(sig, std::move(solved.weights), solved.objective)->weights;
-    } else {  // Cache disabled: same float program, minus the memo.
-      uncached_weights = std::move(solved.weights);
-      canonical_weights = &uncached_weights;
-    }
+    canonical_weights = &ctx->cache.Insert(sig, std::move(solved.weights));
   }
 
   // Un-permute the canonical weights back to port (ascending AppId) order.
@@ -339,6 +329,26 @@ double CentralizedController::RecomputeAllPortsTimed() {
   // scheduled callback later finds an empty dirty set and no-ops.
   FlushDirtyPorts();
   return stats_.last_calc_wall_seconds;
+}
+
+uint64_t CentralizedController::StateDigest() const {
+  uint64_t h = kFnvOffsetBasis;
+  const size_t num_links = network_->topology().num_links();
+  for (LinkId link = 0; link < static_cast<LinkId>(num_links); ++link) {
+    const PortConfig& port = network_->port(link);
+    h = HashBytes(h, port.sl_to_queue.data(), port.sl_to_queue.size() * sizeof(int));
+    h = HashBytes(h, port.queue_weights.data(), port.queue_weights.size() * sizeof(double));
+    auto it = port_weights_.find(link);
+    if (it == port_weights_.end()) {
+      continue;
+    }
+    for (const auto& [app, weight] : it->second) {
+      // Field by field: pair<AppId, double> has padding bytes.
+      h = HashBytes(h, &app, sizeof(app));
+      h = HashBytes(h, &weight, sizeof(weight));
+    }
+  }
+  return h;
 }
 
 double CentralizedController::AppWeightAtPort(LinkId link, AppId app) const {

@@ -54,9 +54,8 @@ struct ControllerOptions {
   int num_pls = 8;
   // C_saba: fraction of each link managed by Saba (1.0 in all experiments).
   double c_saba = 1.0;
-  // Weight floor per application at a port (absolute and relative to the
-  // equal share; see WeightSolverOptions).
-  double min_weight = 0.01;
+  // Weight floor per application at a port, relative to the equal share
+  // (see WeightSolverOptions; the absolute floor keeps its default).
   double relative_min_weight = 0.75;
   // Non-Saba co-existence (§3): the operator may statically reserve the
   // *last* `reserved_queues` queues of every port for non-compliant traffic
@@ -106,7 +105,6 @@ struct PortSolveContext {
   std::vector<int> app_pls;
   PortSignature sig;
   std::vector<SensitivityModel> canonical_models;
-  std::vector<double> uncached_weights;
   std::vector<int> present_pls;
   std::vector<double> queue_weights;
 };
@@ -152,6 +150,19 @@ class CentralizedController : public ControllerInterface {
 
   size_t registered_app_count() const { return apps_.size(); }
 
+  // FNV-1a fingerprint of everything the controller programmed: per-port SL
+  // tables, queue weights and solved per-app weights, in ascending link
+  // order. A pure function of the delta stream: the solve cache mode, the
+  // shard count and the flush worker count never move it (DESIGN.md §7.2).
+  uint64_t StateDigest() const;
+
+  // Offline registration (§5.4), for a PL geometry clustered ahead of time:
+  // InstallPlModels fixes the PL centroid models the queue mapper walks, and
+  // RegisterAppStatic registers `app` at a fixed PL without re-clustering.
+  // The distributed controller registers this way from its mapping database.
+  void InstallPlModels(const std::vector<SensitivityModel>& pl_models);
+  void RegisterAppStatic(AppId app, const std::string& workload_name, int pl);
+
  protected:
   struct AppState {
     std::string workload;
@@ -159,13 +170,6 @@ class CentralizedController : public ControllerInterface {
     int pl = 0;
     int connections = 0;
   };
-
-  // Registers `app` with a fixed PL and no re-clustering; the distributed
-  // controller uses this with its offline mapping database (§5.4).
-  void RegisterAppStatic(AppId app, const std::string& workload_name, int pl);
-
-  // Installs a fixed PL geometry (centroid models) for the queue mapper.
-  void InstallPlModels(const std::vector<SensitivityModel>& pl_models);
 
   // Re-runs application-to-PL K-means and rebuilds the PL hierarchy; retags
   // live flows; refreshes every active port.
@@ -225,7 +229,8 @@ class CentralizedController : public ControllerInterface {
   // saba-lint: unordered-iter-ok(lookup-only: find/erase/rebuild, never iterated)
   std::unordered_map<LinkId, std::vector<std::pair<AppId, double>>> port_weights_;
   // The centralized controller's (only) solve context: cache, mapper, and
-  // ReallocatePort scratch. Shard contexts live in DistributedController.
+  // ReallocatePort scratch. Shard contexts live in DistributedController,
+  // whose flush never touches this one.
   PortSolveContext solve_ctx_;
   // FlushDirtyPorts copies into a vector and sorts ascending before
   // reallocating (see the comment there), so set order never leaks out.

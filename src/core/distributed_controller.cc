@@ -163,7 +163,6 @@ DistributedController::DistributedController(Network* network, FlowSimulator* fl
   assert(num_shards_ >= 1);
   assert(shard_jobs_ >= 1);
   assert(!database_.pl_models.empty());
-  InstallPlModels(database_.pl_models);
   // One solve context per shard, each with its own Eq-2 cache and queue-map
   // memo over the (static, §5.4) database geometry. The contexts never need
   // rebuilding: the distributed controller does not re-cluster at runtime.
@@ -174,15 +173,6 @@ DistributedController::DistributedController(Network* network, FlowSimulator* fl
   }
   shard_ports_.resize(static_cast<size_t>(num_shards_));
   dist_stats_.conn_setups_per_shard.assign(static_cast<size_t>(num_shards_), 0);
-}
-
-void DistributedController::SetShardJobs(int jobs) {
-  assert(jobs >= 1);
-  if (jobs == shard_jobs_) {
-    return;
-  }
-  shard_jobs_ = jobs;
-  pool_.reset();
 }
 
 int DistributedController::AppRegister(AppId app, const std::string& workload_name) {

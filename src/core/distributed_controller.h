@@ -109,10 +109,6 @@ class DistributedController : public CentralizedController {
 
   int num_shards() const { return num_shards_; }
 
-  // Resets the flush worker count (>= 1). Cheap when unchanged; otherwise
-  // the pool is torn down and lazily rebuilt on the next dispatched flush.
-  void SetShardJobs(int jobs);
-
  protected:
   // Partitions the dirty set by owning shard and reallocates each shard's
   // batch with that shard's own solve context — on the worker pool when the

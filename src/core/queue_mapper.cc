@@ -55,22 +55,20 @@ const QueueMapper::PortMapping& QueueMapper::MapPortMemo(const std::vector<int>&
                                                          int max_queues) const {
   assert(std::is_sorted(present_pls.begin(), present_pls.end()) &&
          "memoized mapping requires the canonical (ascending) PL order");
-  if (!memoize_) {
-    passthrough_ = MapPort(present_pls, max_queues);
-    return passthrough_;
-  }
   uint64_t key = static_cast<uint64_t>(max_queues) << 32;
   for (int pl : present_pls) {
     key |= 1ull << pl;
   }
-  auto it = memo_.find(key);
-  if (it != memo_.end()) {
-    ++memo_hits_;
-    return it->second;
+  if (memoize_) {
+    auto it = memo_.find(key);
+    if (it != memo_.end()) {
+      ++memo_hits_;
+      return it->second;
+    }
   }
-  ++memo_misses_;
-  // References into the map stay valid across rehashes (node-based).
-  return memo_.emplace(key, MapPort(present_pls, max_queues)).first->second;
+  // References into the map stay valid across rehashes (node-based). Without
+  // memoization a repeated key rewrites its entry with the same mapping.
+  return memo_.insert_or_assign(key, MapPort(present_pls, max_queues)).first->second;
 }
 
 }  // namespace saba

@@ -23,8 +23,9 @@ namespace saba {
 class QueueMapper {
  public:
   // Builds the hierarchy over the PL centroid models (from the PL mapper).
-  // `memoize` enables the MapPortMemo cache (disabled by the controller's
-  // solve_cache=false mode so cache-on/off equivalence can be tested).
+  // `memoize = false` (the controller's solve_cache=false mode, kept so
+  // cache-on/off equivalence can be tested) makes MapPortMemo recompute on
+  // every call.
   explicit QueueMapper(const std::vector<SensitivityModel>& pl_models, bool memoize = true);
 
   struct PortMapping {
@@ -47,15 +48,15 @@ class QueueMapper {
   // `present_pls` must additionally be sorted ascending (the controller's
   // canonical form), so the (PL bitmask, queue budget) pair fully keys the
   // result. The cache lives with the mapper — re-clustering rebuilds the
-  // mapper, which is the epoch invalidation (DESIGN.md §7.2). The returned
-  // reference stays valid until the mapper is destroyed (or, with
-  // memoization off, until the next MapPortMemo call).
+  // mapper, which is the epoch invalidation (DESIGN.md §7.2). Without
+  // memoization the call never reuses an entry, but still stores what it
+  // computed, so the caller has one path in both modes. The returned
+  // reference stays valid until the mapper is destroyed.
   const PortMapping& MapPortMemo(const std::vector<int>& present_pls, int max_queues) const;
 
   size_t num_pls() const { return hierarchy_.num_leaves(); }
 
   uint64_t memo_hits() const { return memo_hits_; }
-  uint64_t memo_misses() const { return memo_misses_; }
 
  private:
   HierarchicalClustering hierarchy_;
@@ -64,9 +65,7 @@ class QueueMapper {
   // to spare (kNumServiceLevels == 16 is the fabric-wide ceiling).
   // saba-lint: unordered-iter-ok(lookup-only memo, never iterated)
   mutable std::unordered_map<uint64_t, PortMapping> memo_;
-  mutable PortMapping passthrough_;  // MapPortMemo result slot when memoize_ is off.
   mutable uint64_t memo_hits_ = 0;
-  mutable uint64_t memo_misses_ = 0;
 };
 
 }  // namespace saba

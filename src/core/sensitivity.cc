@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -102,7 +103,7 @@ std::optional<double> ParseDoubleField(const std::string& text) {
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(text.c_str(), &end);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
+  if (errno == ERANGE || end != text.c_str() + text.size() || !std::isfinite(parsed)) {
     return std::nullopt;
   }
   return parsed;

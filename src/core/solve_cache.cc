@@ -51,41 +51,21 @@ void BuildPortSignature(const std::vector<const SensitivityModel*>& models, Port
   sig->hash = h;
 }
 
-const Eq2SolveCache::Entry* Eq2SolveCache::Find(const PortSignature& sig) {
+const std::vector<double>* Eq2SolveCache::Find(const PortSignature& sig) const {
   if (!enabled_) {
     return nullptr;
   }
   auto it = map_.find(sig);  // Heterogeneous: no key materialization.
-  if (it == map_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return &it->second;
+  return it == map_.end() ? nullptr : &it->second;
 }
 
-const Eq2SolveCache::Entry* Eq2SolveCache::Insert(const PortSignature& sig,
-                                                  std::vector<double> weights,
-                                                  double objective) {
-  if (!enabled_) {
-    return nullptr;
-  }
+const std::vector<double>& Eq2SolveCache::Insert(const PortSignature& sig,
+                                                 std::vector<double> weights) {
   if (map_.size() >= kMaxEntries) {
     map_.clear();
   }
-  Key key;
-  key.flat = sig.key;
-  key.hash = sig.hash;
-  Entry entry;
-  entry.weights = std::move(weights);
-  entry.objective = objective;
-  return &map_.insert_or_assign(std::move(key), std::move(entry)).first->second;
-}
-
-void Eq2SolveCache::Clear() {
-  map_.clear();
-  hits_ = 0;
-  misses_ = 0;
+  // A disabled cache re-solves every port, so it may overwrite its own entry.
+  return map_.insert_or_assign(Key{sig.key, sig.hash}, std::move(weights)).first->second;
 }
 
 }  // namespace saba

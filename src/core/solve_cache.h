@@ -47,7 +47,7 @@ struct PortSignature {
 };
 
 // Builds the canonical signature of `models` into *sig, reusing its buffers
-// (the controller keeps one PortSignature in thread_local scratch).
+// (each PortSolveContext keeps one PortSignature as scratch).
 void BuildPortSignature(const std::vector<const SensitivityModel*>& models, PortSignature* sig);
 
 // The memo itself: signature -> solved weights in canonical order. One
@@ -60,31 +60,21 @@ void BuildPortSignature(const std::vector<const SensitivityModel*>& models, Port
 // Entries never go stale — the signature encodes the entire solver input —
 // so the cache persists across re-clusterings and is only cleared to bound
 // memory.
+//
+// A disabled cache never reuses an entry (Find always misses), but Insert
+// still stores and returns the weights, so the caller has one path in both
+// modes.
 class Eq2SolveCache {
  public:
-  struct Entry {
-    std::vector<double> weights;  // Canonical (signature) order.
-    double objective = 0;
-  };
-
   explicit Eq2SolveCache(bool enabled) : enabled_(enabled) {}
 
-  bool enabled() const { return enabled_; }
+  // The cached canonical-order weights for `sig`, or nullptr on a miss
+  // (always a miss when disabled).
+  const std::vector<double>* Find(const PortSignature& sig) const;
 
-  // The cached entry for `sig`, or nullptr on a miss (or when disabled).
-  const Entry* Find(const PortSignature& sig);
-
-  // Stores the solve result for `sig` and returns the stored entry; no-op
-  // (returns nullptr) when disabled. `weights` must be in canonical order.
-  // The by-value argument is consumed either way — callers that still need
-  // the weights when the cache is off must branch on enabled() first.
-  const Entry* Insert(const PortSignature& sig, std::vector<double> weights, double objective);
-
-  void Clear();
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  size_t size() const { return map_.size(); }
+  // Stores the solved weights for `sig` (canonical order) and returns the
+  // stored copy, which stays valid until the next Insert.
+  const std::vector<double>& Insert(const PortSignature& sig, std::vector<double> weights);
 
  private:
   struct Key {
@@ -115,12 +105,10 @@ class Eq2SolveCache {
   static constexpr size_t kMaxEntries = 1 << 16;
 
   bool enabled_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
   // Lookup-only memo (find/insert/clear); results depend on the signature
   // key alone, never on bucket order — the §7.2 exactness argument.
   // saba-lint: unordered-iter-ok(lookup-only memo, never iterated)
-  std::unordered_map<Key, Entry, KeyHash, KeyEq> map_;
+  std::unordered_map<Key, std::vector<double>, KeyHash, KeyEq> map_;
 };
 
 }  // namespace saba

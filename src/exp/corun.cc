@@ -116,7 +116,6 @@ CoRunResult RunCoRun(const Topology& topology, const std::vector<JobSpec>& jobs,
     case PolicyKind::kSabaDistributed: {
       DistributedControllerOptions dist_options;
       dist_options.base = controller_options;
-      dist_options.num_shards = options.distributed_shards;
       controller = std::make_unique<DistributedController>(
           &network, &flow_sim, options.table,
           MappingDatabase::Build(*options.table, options.num_pls, options.seed), dist_options);

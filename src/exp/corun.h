@@ -91,7 +91,6 @@ struct CoRunOptions {
   // Sensitivity table for the Saba variants (required there, unused
   // elsewhere).
   const SensitivityTable* table = nullptr;
-  int distributed_shards = 8;
   // Completion-event quantization grid (see FlowSimulator); jobs run for
   // minutes, so a 0.25 s grid costs <2% accuracy and saves an order of
   // magnitude in reallocations.

@@ -83,8 +83,6 @@ double Rng::Exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
-
 bool Rng::Bernoulli(double p) { return Uniform01() < p; }
 
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {

@@ -42,9 +42,6 @@ class Rng {
   // Exponential with the given rate (mean 1/rate).
   double Exponential(double rate);
 
-  // Log-normal such that the underlying normal has the given mu/sigma.
-  double LogNormal(double mu, double sigma);
-
   // True with probability p.
   bool Bernoulli(double p);
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/core/controller.h"
+#include "src/core/solve_cache.h"
 #include "src/net/network.h"
 #include "src/net/topology.h"
 #include "src/net/units.h"
@@ -193,6 +194,41 @@ void RunChurn(uint64_t seed) {
 TEST(ControllerCacheTest, CachedMatchesUncachedBitExactUnderChurn) {
   RunChurn(11);
   RunChurn(29);
+}
+
+// The cache's off-mode lives inside the cache: a disabled Eq2SolveCache
+// never hits, yet Insert still stores and returns the weights, so the
+// controller reads them back through one path in both modes.
+TEST(Eq2SolveCacheTest, DisabledCacheMissesAfterInsertYetReturnsStoredWeights) {
+  const SensitivityModel steep{Polynomial({5.0, -4.0})};
+  const SensitivityModel flat{Polynomial({1.2, -0.2})};
+  PortSignature sig;
+  BuildPortSignature({&steep, &flat}, &sig);
+  Eq2SolveCache cache(/*enabled=*/false);
+  EXPECT_EQ(cache.Find(sig), nullptr);
+  EXPECT_EQ(cache.Insert(sig, {0.7, 0.3}), (std::vector<double>{0.7, 0.3}));
+  EXPECT_EQ(cache.Find(sig), nullptr);
+  // Re-solving the same signature overwrites the stored copy.
+  EXPECT_EQ(cache.Insert(sig, {0.6, 0.4}), (std::vector<double>{0.6, 0.4}));
+  EXPECT_EQ(cache.Find(sig), nullptr);
+}
+
+TEST(Eq2SolveCacheTest, EnabledCacheHitsWithTheStoredWeights) {
+  const SensitivityModel steep{Polynomial({5.0, -4.0})};
+  const SensitivityModel flat{Polynomial({1.2, -0.2})};
+  PortSignature sig;
+  BuildPortSignature({&steep, &flat}, &sig);
+  Eq2SolveCache cache(/*enabled=*/true);
+  EXPECT_EQ(cache.Find(sig), nullptr);
+  const std::vector<double>& stored = cache.Insert(sig, {0.7, 0.3});
+  EXPECT_EQ(stored, (std::vector<double>{0.7, 0.3}));
+  const std::vector<double>* hit = cache.Find(sig);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit, &stored);
+  // The same app mix in another port order shares the signature.
+  PortSignature swapped;
+  BuildPortSignature({&flat, &steep}, &swapped);
+  EXPECT_EQ(cache.Find(swapped), hit);
 }
 
 }  // namespace

@@ -81,6 +81,9 @@ TEST(MappingDatabaseTest, FromCsvRejectsCorruptFieldsWithoutThrowing) {
   EXPECT_FALSE(MappingDatabase::FromCsv("pl, 0,1.0").has_value());   // Padded field.
   EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1.0\napp,LR,0junk").has_value());  // Trailing junk.
   EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1e999").has_value());  // Coefficient overflow.
+  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,nan").has_value());    // Non-finite coefficient.
+  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,inf").has_value());
+  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1.0,-inf").has_value());
 }
 
 TEST(MappingDatabaseTest, CsvRoundTripIsByteStable) {

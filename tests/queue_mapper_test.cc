@@ -100,5 +100,33 @@ TEST(QueueMapperTest, QueueIndicesAreDense) {
   }
 }
 
+// The memo's off-mode lives inside the mapper (DESIGN.md §7.2): with
+// memoize=false every MapPortMemo call recomputes — no call ever counts a
+// hit — yet it returns the same mapping the memoizing mapper replays.
+TEST(QueueMapperTest, UnmemoizedMapperRecomputesEveryCall) {
+  QueueMapper memoized(EightPls(), /*memoize=*/true);
+  QueueMapper unmemoized(EightPls(), /*memoize=*/false);
+  const std::vector<int> present = {1, 3, 5, 7};
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int queues : {1, 2, 4}) {
+      const QueueMapper::PortMapping fresh = unmemoized.MapPort(present, queues);
+      const QueueMapper::PortMapping& off = unmemoized.MapPortMemo(present, queues);
+      const QueueMapper::PortMapping& on = memoized.MapPortMemo(present, queues);
+      EXPECT_EQ(off.pl_to_queue, fresh.pl_to_queue);
+      EXPECT_EQ(off.level, fresh.level);
+      EXPECT_EQ(on.pl_to_queue, fresh.pl_to_queue);
+      EXPECT_EQ(on.level, fresh.level);
+      ASSERT_EQ(off.queue_models.size(), fresh.queue_models.size());
+      for (size_t q = 0; q < fresh.queue_models.size(); ++q) {
+        EXPECT_EQ(off.queue_models[q].polynomial().coefficients(),
+                  fresh.queue_models[q].polynomial().coefficients());
+      }
+    }
+  }
+  EXPECT_EQ(unmemoized.memo_hits(), 0u);
+  EXPECT_EQ(memoized.memo_hits(), (kRounds - 1) * 3u);
+}
+
 }  // namespace
 }  // namespace saba

@@ -91,6 +91,11 @@ TEST(SensitivityTableTest, FromCsvRejectsMalformedRows) {
   EXPECT_FALSE(SensitivityTable::FromCsv("LR,abc,100,1.0").has_value());
   EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9,100,1e999").has_value());
   EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9,100,1.0x").has_value());
+  // Non-finite fields parse under strtod but would poison the solver.
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9,100,inf,-1").has_value());
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9,100,1.0,-inf").has_value());
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,nan,100,1.0").has_value());
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9,inf,1.0").has_value());
 }
 
 }  // namespace

@@ -135,6 +135,9 @@ void ExpectMatchesOracle(const StaticOracleController& oracle, const Network& or
     ASSERT_EQ(a.queue_weights, b.queue_weights)
         << "link " << link << " event " << event << " shards " << u.num_shards;
   }
+  // The one state digest the benches print covers all of the above.
+  ASSERT_EQ(oracle.StateDigest(), u.controller->StateDigest())
+      << "event " << event << " shards " << u.num_shards;
   // Merged counters describing WHAT happened are shard-invariant. (The eq2
   // hit/miss *split* is not — per-shard caches each miss a signature once —
   // but the total must always equal the reconfiguration count.)
