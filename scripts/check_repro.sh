@@ -85,10 +85,19 @@ env "${FIG11S[@]}" SABA_SHARDS=8 "$BUILD/bench/bench_fig11_scale" > "$TMP/fig11s
 same_stdout "bench_fig11_scale (SABA_SHARDS=1 vs 8)" "$TMP/fig11s.s1" "$TMP/fig11s.s8"
 
 # Every shipped scenario must parse, run to completion, and print the same
-# report on a second run.
+# report on a second run. Each run gets 120 s (they take about a second), so a
+# hang fails here by name instead of at CI's job time limit.
+run_scenario() {
+  local code=0
+  timeout 120 "$BUILD/examples/sabasim" "$1" > "$2" 2>/dev/null || code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "FAILED: sabasim $1 exited $code (124 = timed out after 120 s)"
+    exit 1
+  fi
+}
 for f in examples/scenarios/*.txt; do
-  "$BUILD/examples/sabasim" "$f" > "$TMP/scenario.1" 2>/dev/null
-  "$BUILD/examples/sabasim" "$f" > "$TMP/scenario.2" 2>/dev/null
+  run_scenario "$f" "$TMP/scenario.1"
+  run_scenario "$f" "$TMP/scenario.2"
   same_stdout "sabasim $f (run to run)" "$TMP/scenario.1" "$TMP/scenario.2"
 done
 exit $status

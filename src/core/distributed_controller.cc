@@ -2,38 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 
 #include "src/core/sensitivity.h"
 #include "src/numerics/linalg.h"
+#include "src/sim/parse.h"
 #include "src/sim/wallclock.h"
 
 namespace saba {
-namespace {
-
-// Strict integer field parser for FromCsv, like ParseDoubleField
-// (sensitivity.h): the whole field must be the number, and a corrupt
-// replication payload surfaces as nullopt, never as an exception (std::stoi
-// throws) or a silently truncated value.
-std::optional<long long> ParseIntField(const std::string& text) {
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
-    return std::nullopt;
-  }
-  return parsed;
-}
-
-}  // namespace
-
 MappingDatabase MappingDatabase::Build(const SensitivityTable& table, int num_pls,
                                        uint64_t seed) {
   assert(table.size() > 0);
@@ -113,7 +90,7 @@ std::optional<MappingDatabase> MappingDatabase::FromCsv(const std::string& csv) 
       if (!std::getline(row, field, ',')) {
         return std::nullopt;
       }
-      const std::optional<long long> id = ParseIntField(field);
+      const std::optional<int64_t> id = ParseInt64(field);
       if (!id.has_value() || *id < 0 ||
           static_cast<size_t>(*id) != db.pl_models.size()) {
         return std::nullopt;  // PL ids must be numeric, dense, and in order.
@@ -136,7 +113,7 @@ std::optional<MappingDatabase> MappingDatabase::FromCsv(const std::string& csv) 
       if (!std::getline(row, workload, ',') || !std::getline(row, pl, ',')) {
         return std::nullopt;
       }
-      const std::optional<long long> pl_id = ParseIntField(pl);
+      const std::optional<int64_t> pl_id = ParseInt64(pl);
       if (!pl_id.has_value() || *pl_id < 0 ||
           static_cast<size_t>(*pl_id) >= db.pl_models.size()) {
         return std::nullopt;  // Assignments must reference declared PLs.
@@ -247,7 +224,7 @@ void DistributedController::FlushDirtyPorts() {
     if (pool_ == nullptr) {
       pool_ = std::make_unique<WorkerPool>(shard_jobs_);
     }
-    pool_->Run(dirty_shards_.size(), [this](size_t index, int /*slot*/) {
+    pool_->Run(dirty_shards_.size(), [this](size_t index) {
       const int shard = dirty_shards_[index];
       PortSolveContext* ctx = &shard_ctxs_[static_cast<size_t>(shard)];
       for (const LinkId link : shard_ports_[static_cast<size_t>(shard)]) {

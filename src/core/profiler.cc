@@ -104,8 +104,6 @@ ProfileResult OfflineProfiler::Profile(const WorkloadSpec& spec) {
                        << "); consider more profiling runs or a different degree";
     }
   }
-  SABA_LOG_INFO << "profiled " << spec.name << ": base=" << base
-                << "s R2=" << result.r_squared;
   return result;
 }
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
+
+#include "src/sim/parse.h"
 
 namespace saba {
 
@@ -94,19 +92,6 @@ std::optional<SensitivityTable> SensitivityTable::FromCsv(const std::string& csv
     table.Put(name, std::move(entry));
   }
   return table;
-}
-
-std::optional<double> ParseDoubleField(const std::string& text) {
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (errno == ERANGE || end != text.c_str() + text.size() || !std::isfinite(parsed)) {
-    return std::nullopt;
-  }
-  return parsed;
 }
 
 }  // namespace saba

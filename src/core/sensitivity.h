@@ -85,13 +85,6 @@ class SensitivityTable {
   std::map<std::string, SensitivityEntry> entries_;
 };
 
-// Strict numeric CSV field parser shared by SensitivityTable::FromCsv and
-// MappingDatabase::FromCsv: the whole field must be the number. A corrupt
-// field comes back as nullopt, never as an exception (std::stod throws) or a
-// silently truncated value; out-of-range (1e999) and non-finite (nan, inf)
-// values are corrupt too.
-std::optional<double> ParseDoubleField(const std::string& text);
-
 }  // namespace saba
 
 #endif  // SRC_CORE_SENSITIVITY_H_

@@ -48,21 +48,6 @@ void RecordKnob(const char* name, const std::string& value, bool from_env) {
 
 }  // namespace
 
-std::optional<int64_t> ParseInt64(const std::string& text) {
-  // strtoll silently skips leading whitespace; the documented contract is
-  // "the whole string is the number", so reject it up front.
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
-    return std::nullopt;
-  }
-  return static_cast<int64_t>(parsed);
-}
-
 int EnvInt(const char* name, int fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr) {

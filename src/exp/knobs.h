@@ -12,14 +12,11 @@
 #define SRC_EXP_KNOBS_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
-namespace saba {
+#include "src/sim/parse.h"  // ParseInt64, which the knobs and their callers use.
 
-// Base-10 integer parse that consumes the whole string (surrounding
-// whitespace rejected). nullopt on empty, trailing junk, or overflow.
-std::optional<int64_t> ParseInt64(const std::string& text);
+namespace saba {
 
 // Integer knob from the environment with a default. A set-but-unparsable
 // value aborts the process with a message naming the knob.

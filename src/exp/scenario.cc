@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/net/units.h"
+#include "src/sim/parse.h"
 #include "src/sim/rng.h"
 #include "src/workload/workload_catalog.h"
 
@@ -25,15 +26,22 @@ bool SplitKeyValue(const std::string& token, std::string* key, std::string* valu
   return true;
 }
 
-bool ParseDouble(const std::string& text, double* out) {
-  std::istringstream is(text);
-  return static_cast<bool>(is >> *out) && is.eof();
+// ParseInt64, narrowed to the values an int (and so a NodeId) holds.
+std::optional<int> ParseIntValue(const std::string& text) {
+  const std::optional<int64_t> value = ParseInt64(text);
+  if (!value.has_value() || *value < std::numeric_limits<int>::min() ||
+      *value > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*value);
 }
 
-bool ParseInt(const std::string& text, int* out) {
-  std::istringstream is(text);
-  return static_cast<bool>(is >> *out) && is.eof();
-}
+// The largest accepted job start time, in seconds, and dataset scale. The
+// paper's jobs run for minutes and the catalog's scaling laws are calibrated
+// for 0.1-10x, so both bounds sit far above real use and far below the
+// magnitudes at which a run stops finishing (start=1e15, dataset=1e20).
+constexpr double kMaxStartSeconds = 1e9;
+constexpr double kMaxDatasetScale = 1e6;
 
 std::optional<PolicyKind> PolicyFromName(const std::string& name) {
   static const std::map<std::string, PolicyKind> kPolicies = {
@@ -81,24 +89,15 @@ std::optional<Topology> BuildTopologyLine(const std::string& kind,
   };
   // Every count is checked here once, so count() below cannot fail.
   for (const char* key : {"servers", "spine", "leaf", "tor", "hosts_per_tor", "pods", "k"}) {
-    int value = 0;
-    if (kv.count(key) > 0 && !ParseInt(kv.at(key), &value)) {
+    if (kv.count(key) > 0 && !ParseIntValue(kv.at(key)).has_value()) {
       return reject(std::string(key) + " must be an integer");
     }
   }
   auto count = [&kv](const std::string& key, int fallback) {
-    int value = fallback;
-    if (kv.count(key) > 0) {
-      ParseInt(kv.at(key), &value);
-    }
-    return value;
+    return kv.count(key) > 0 ? *ParseIntValue(kv.at(key)) : fallback;
   };
   auto gbps = [&kv](const std::string& key, double fallback) {
-    double value = fallback;
-    if (kv.count(key) > 0) {
-      ParseDouble(kv.at(key), &value);
-    }
-    return value;
+    return kv.count(key) > 0 ? *ParseDoubleField(kv.at(key)) : fallback;
   };
   const Bps64 capacity = Gbps64(gbps("capacity_gbps", 56.0));
   if (capacity <= 0) {
@@ -203,8 +202,7 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
       for (size_t i = 1; i < rest.size(); ++i) {
         std::string key;
         std::string value;
-        double number = 0;
-        if (!SplitKeyValue(rest[i], &key, &value) || !ParseDouble(value, &number)) {
+        if (!SplitKeyValue(rest[i], &key, &value) || !ParseDoubleField(value).has_value()) {
           Fail(error, line_number, "bad topology parameter '" + rest[i] + "'");
           return std::nullopt;
         }
@@ -230,34 +228,36 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
       }
       scenario.options.policy = *policy;
     } else if (directive == "seed") {
-      int seed = 0;
-      if (rest.size() != 1 || !ParseInt(rest[0], &seed) || seed < 0) {
+      const std::optional<int> seed = rest.size() == 1 ? ParseIntValue(rest[0]) : std::nullopt;
+      if (!seed.has_value() || *seed < 0) {
         Fail(error, line_number, "seed needs one non-negative integer");
         return std::nullopt;
       }
-      scenario.seed = static_cast<uint64_t>(seed);
+      scenario.seed = static_cast<uint64_t>(*seed);
       scenario.options.seed = scenario.seed;
     } else if (directive == "gamma") {
-      double gamma = 0;
-      if (rest.size() != 1 || !ParseDouble(rest[0], &gamma) || gamma < 0) {
+      const std::optional<double> gamma =
+          rest.size() == 1 ? ParseDoubleField(rest[0]) : std::nullopt;
+      if (!gamma.has_value() || *gamma < 0) {
         Fail(error, line_number, "gamma needs one non-negative number");
         return std::nullopt;
       }
-      scenario.options.fecn_gamma = gamma;
+      scenario.options.fecn_gamma = *gamma;
     } else if (directive == "floor") {
-      double floor = 0;
-      if (rest.size() != 1 || !ParseDouble(rest[0], &floor) || floor < 0 || floor > 1) {
+      const std::optional<double> floor =
+          rest.size() == 1 ? ParseDoubleField(rest[0]) : std::nullopt;
+      if (!floor.has_value() || *floor < 0 || *floor > 1) {
         Fail(error, line_number, "floor needs one number in [0, 1]");
         return std::nullopt;
       }
-      scenario.options.relative_min_weight = floor;
+      scenario.options.relative_min_weight = *floor;
     } else if (directive == "queues") {
-      int queues = 0;
-      if (rest.size() != 1 || !ParseInt(rest[0], &queues) || queues < 1) {
+      const std::optional<int> queues = rest.size() == 1 ? ParseIntValue(rest[0]) : std::nullopt;
+      if (!queues.has_value() || *queues < 1) {
         Fail(error, line_number, "queues needs one positive integer");
         return std::nullopt;
       }
-      scenario.options.queues_per_port = queues;
+      scenario.options.queues_per_port = *queues;
     } else if (directive == "job") {
       if (rest.empty()) {
         Fail(error, line_number, "job needs a workload name");
@@ -277,20 +277,26 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
           return std::nullopt;
         }
         if (key == "nodes") {
-          if (!ParseInt(value, &job.nodes) || job.nodes < 2) {
+          const std::optional<int> nodes = ParseIntValue(value);
+          if (!nodes.has_value() || *nodes < 2) {
             Fail(error, line_number, "nodes must be an integer >= 2");
             return std::nullopt;
           }
+          job.nodes = *nodes;
         } else if (key == "dataset") {
-          if (!ParseDouble(value, &job.dataset_scale) || job.dataset_scale <= 0) {
-            Fail(error, line_number, "dataset must be a positive scale factor");
+          const std::optional<double> scale = ParseDoubleField(value);
+          if (!scale.has_value() || *scale <= 0 || *scale > kMaxDatasetScale) {
+            Fail(error, line_number, "dataset must be a scale factor in (0, 1e6]");
             return std::nullopt;
           }
+          job.dataset_scale = *scale;
         } else if (key == "start") {
-          if (!ParseDouble(value, &job.start_at) || job.start_at < 0) {
-            Fail(error, line_number, "start must be a non-negative time");
+          const std::optional<double> start = ParseDoubleField(value);
+          if (!start.has_value() || *start < 0 || *start > kMaxStartSeconds) {
+            Fail(error, line_number, "start must be a time in [0, 1e9] seconds");
             return std::nullopt;
           }
+          job.start_at = *start;
         } else {
           Fail(error, line_number, "unknown job parameter '" + key + "'");
           return std::nullopt;
@@ -323,11 +329,20 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
       for (size_t i = 1; i < rest.size(); ++i) {
         std::string key;
         std::string value;
-        double number = 0;
-        if (!SplitKeyValue(rest[i], &key, &value) || !ParseDouble(value, &number)) {
+        if (!SplitKeyValue(rest[i], &key, &value)) {
           Fail(error, line_number, "bad " + directive + " parameter '" + rest[i] + "'");
           return std::nullopt;
         }
+        // Node ids must be integers (so the casts below are exact); times
+        // and factors may be any number.
+        const bool node_key = key == "a" || key == "b" || key == "id";
+        const std::optional<double> parsed =
+            node_key ? std::optional<double>(ParseIntValue(value)) : ParseDoubleField(value);
+        if (!parsed.has_value()) {
+          Fail(error, line_number, "bad " + directive + " parameter '" + rest[i] + "'");
+          return std::nullopt;
+        }
+        const double number = *parsed;
         if ((key == "a" && event.kind != FailureEvent::Kind::kNodeDown) ||
             (key == "id" && event.kind == FailureEvent::Kind::kNodeDown)) {
           event.a = static_cast<NodeId>(number);

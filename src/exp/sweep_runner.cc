@@ -34,68 +34,48 @@ SweepRunner::SweepRunner(int jobs) : jobs_(jobs > 0 ? jobs : EnvJobs()) {}
 void SweepRunner::RunIndexed(size_t num_tasks, const std::function<void(size_t)>& body) {
   stats_ = SweepStats{};
   stats_.num_tasks = num_tasks;
-  stats_.jobs = 1;
+  stats_.jobs = static_cast<int>(std::clamp<size_t>(num_tasks, 1, static_cast<size_t>(jobs_)));
   if (num_tasks == 0) {
     return;
   }
   Stopwatch wall;
-
-  const int jobs =
-      static_cast<int>(std::min<size_t>(static_cast<size_t>(jobs_), num_tasks));
-  if (jobs <= 1) {
-    // Serial path: identical task order and streams as the parallel path (the
-    // determinism tests byte-compare the two), exceptions propagate directly.
-    double task_seconds = 0;
-    for (size_t i = 0; i < num_tasks; ++i) {
-      Stopwatch task_watch;
-      body(i);
-      task_seconds += task_watch.ElapsedSeconds();
-    }
-    stats_.task_seconds = task_seconds;
-    stats_.wall_seconds = wall.ElapsedSeconds();
-    return;
-  }
-  stats_.jobs = jobs;
-
-  // Threads come from the shared pool primitive; the sweep layer adds
-  // exception transport and per-worker timing. One error slot per task so the
-  // first-failing *index* is rethrown deterministically, not whichever thread
-  // lost the race.
   if (pool_ == nullptr) {
     pool_ = std::make_unique<WorkerPool>(jobs_);
   }
+  // One error and one timing slot per task. Only tasks above the lowest
+  // failed index so far are skipped, so the lowest-index thrower always runs
+  // and its error is the one rethrown, whichever thread lost a race.
   std::vector<std::exception_ptr> errors(num_tasks);
-  std::atomic<bool> failed{false};
-  std::vector<double> worker_seconds(static_cast<size_t>(pool_->jobs()), 0.0);
+  std::vector<double> task_seconds(num_tasks, 0.0);
+  std::atomic<size_t> lowest_failed{num_tasks};
 
-  // saba-lint: pool-capture-ok(every write is index- or slot-owned: errors[index] and the
-  // task's result slot belong to exactly one task, worker_seconds[slot] to one worker, and
-  // `failed` is an atomic flag — no captured reference is written from two workers, §7.3)
-  pool_->Run(num_tasks, [&](size_t index, int slot) {
-    if (failed.load(std::memory_order_acquire)) {
-      return;  // Abort the sweep: claim (to terminate) but skip the body.
+  // saba-lint: pool-capture-ok(every write is index-owned: errors[index],
+  // task_seconds[index] and the task's result slot belong to exactly one task,
+  // and `lowest_failed` is an atomic — no captured reference is written from
+  // two workers, §7.3)
+  pool_->Run(num_tasks, [&](size_t index) {
+    if (index > lowest_failed.load(std::memory_order_relaxed)) {
+      return;  // A lower-index task failed: claim (to terminate) but skip.
     }
     Stopwatch task_watch;
     try {
       body(index);
     } catch (...) {
       errors[index] = std::current_exception();
-      failed.store(true, std::memory_order_release);
+      size_t seen = lowest_failed.load(std::memory_order_relaxed);
+      while (index < seen && !lowest_failed.compare_exchange_weak(seen, index)) {
+        // A failed exchange reloaded `seen`; retry while this index is lower.
+      }
     }
-    worker_seconds[static_cast<size_t>(slot)] += task_watch.ElapsedSeconds();
+    task_seconds[index] = task_watch.ElapsedSeconds();
   });
 
-  for (double seconds : worker_seconds) {
+  for (double seconds : task_seconds) {
     stats_.task_seconds += seconds;
   }
   stats_.wall_seconds = wall.ElapsedSeconds();
-
-  if (failed.load(std::memory_order_acquire)) {
-    for (std::exception_ptr& error : errors) {
-      if (error) {
-        std::rethrow_exception(error);
-      }
-    }
+  if (lowest_failed < num_tasks) {
+    std::rethrow_exception(errors[lowest_failed]);
   }
 }
 

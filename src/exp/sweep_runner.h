@@ -1,8 +1,8 @@
 // Deterministic parallel sweep engine for the figure benches.
 //
 // A sweep is N independent tasks — the (setup × scenario × policy) cells of
-// an experiment grid. Tasks are fanned across SABA_JOBS worker threads with
-// chunked work stealing; determinism comes from two rules:
+// an experiment grid. Tasks are fanned across SABA_JOBS worker threads, which
+// claim task indices in ascending order; determinism comes from two rules:
 //
 //   1. a task's randomness derives only from (root_seed, task_index) via
 //      Rng::ForStream — never from a generator shared across tasks — and
@@ -16,7 +16,8 @@
 // Threads come from the shared saba::WorkerPool primitive
 // (src/sim/worker_pool.h) — the same pool substrate the distributed
 // controller's sharded flush uses (DESIGN.md §7.3). SweepRunner adds the
-// per-task exception transport and timing on top.
+// per-task exception transport and timing on top; a one-job pool runs the
+// tasks inline, in index order, on the calling thread.
 
 #ifndef SRC_EXP_SWEEP_RUNNER_H_
 #define SRC_EXP_SWEEP_RUNNER_H_
@@ -35,7 +36,7 @@ namespace saba {
 // Throughput counters of the last sweep, for the benches' stderr banners.
 struct SweepStats {
   size_t num_tasks = 0;
-  int jobs = 1;              // Worker threads actually spawned.
+  int jobs = 1;              // Threads that could work at once: min(jobs, tasks).
   double wall_seconds = 0;   // Whole-sweep elapsed time.
   double task_seconds = 0;   // Sum of per-task elapsed times.
 
@@ -56,9 +57,10 @@ class SweepRunner {
   const SweepStats& stats() const { return stats_; }
 
   // Runs task(i) for every i in [0, num_tasks); returns results in task
-  // order. A throwing task aborts the sweep (tasks not yet claimed are
-  // skipped) and the exception with the lowest task index is rethrown after
-  // all workers have stopped.
+  // order. A throwing task aborts the sweep: tasks above the lowest failed
+  // index are skipped, tasks below it still run, and after all workers have
+  // stopped the lowest-index exception is rethrown — the serial run's error,
+  // at every job count.
   template <typename T>
   std::vector<T> Map(size_t num_tasks, const std::function<T(size_t)>& task) {
     std::vector<T> results(num_tasks);
@@ -82,7 +84,7 @@ class SweepRunner {
 
   int jobs_;
   SweepStats stats_;
-  std::unique_ptr<WorkerPool> pool_;  // Created on the first parallel sweep.
+  std::unique_ptr<WorkerPool> pool_;  // Created on the first sweep.
 };
 
 }  // namespace saba

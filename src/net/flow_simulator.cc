@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/sim/log.h"
-
 namespace saba {
 namespace {
 

@@ -6,94 +6,21 @@
 namespace saba {
 
 void EventHandle::Cancel() {
-  if (state_ != nullptr) {
-    state_->cancelled = true;
+  if (scheduler_ != nullptr) {
+    scheduler_->queue_.erase(key_);
   }
 }
 
 bool EventHandle::pending() const {
-  return state_ != nullptr && !state_->cancelled && !state_->fired;
-}
-
-void EventScheduler::SiftUp(size_t i) {
-  HeapEntry entry = heap_[i];
-  while (i > 0) {
-    const size_t parent = (i - 1) / 2;
-    if (!Earlier(entry, heap_[parent])) {
-      break;
-    }
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = entry;
-}
-
-void EventScheduler::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  HeapEntry entry = heap_[i];
-  while (true) {
-    size_t child = 2 * i + 1;
-    if (child >= n) {
-      break;
-    }
-    if (child + 1 < n && Earlier(heap_[child + 1], heap_[child])) {
-      ++child;
-    }
-    if (!Earlier(heap_[child], entry)) {
-      break;
-    }
-    heap_[i] = heap_[child];
-    i = child;
-  }
-  heap_[i] = entry;
-}
-
-void EventScheduler::Push(HeapEntry entry) {
-  heap_.push_back(entry);
-  SiftUp(heap_.size() - 1);
-}
-
-void EventScheduler::PopTop() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    SiftDown(0);
-  }
-}
-
-bool EventScheduler::EntryLive(const HeapEntry& entry) const {
-  const Slot& slot = slots_[entry.slot];
-  return slot.live && slot.generation == entry.generation && !slot.state->cancelled;
-}
-
-void EventScheduler::ReleaseSlot(uint32_t index) {
-  Slot& slot = slots_[index];
-  slot.fn = nullptr;
-  slot.state.reset();
-  slot.live = false;
-  free_slots_.push_back(index);
+  return scheduler_ != nullptr && scheduler_->queue_.count(key_) > 0;
 }
 
 EventHandle EventScheduler::ScheduleAt(SimTime when, std::function<void()> fn) {
   assert(when >= now_ && "cannot schedule an event in the past");
   assert(fn != nullptr);
-
-  uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    index = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& slot = slots_[index];
-  slot.fn = std::move(fn);
-  slot.state = std::make_shared<EventHandle::State>();
-  slot.generation += 1;
-  slot.live = true;
-
-  Push({when, next_seq_++, index, slot.generation});
-  return EventHandle(slot.state);
+  const EventKey key(when, next_seq_++);
+  queue_.emplace(key, std::move(fn));
+  return EventHandle(this, key);
 }
 
 EventHandle EventScheduler::ScheduleAfter(SimDuration delay, std::function<void()> fn) {
@@ -101,37 +28,23 @@ EventHandle EventScheduler::ScheduleAfter(SimDuration delay, std::function<void(
   return ScheduleAt(now_ + delay, std::move(fn));
 }
 
-bool EventScheduler::DispatchNext() {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if (!EntryLive(top)) {
-      // Cancelled (or superseded) event: drop it and free the slot if it is
-      // still ours.
-      Slot& slot = slots_[top.slot];
-      if (slot.live && slot.generation == top.generation) {
-        ReleaseSlot(top.slot);
-      }
-      PopTop();
-      continue;
-    }
-    assert(top.when >= now_ - kTimeEpsilon);
-    now_ = top.when;
-    // Move the closure out before dispatch: the callback may schedule new
-    // events, reusing this slot.
-    std::function<void()> fn = std::move(slots_[top.slot].fn);
-    slots_[top.slot].state->fired = true;
-    ReleaseSlot(top.slot);
-    PopTop();
-    ++dispatched_;
-    fn();
-    return true;
+bool EventScheduler::Step() {
+  if (queue_.empty()) {
+    return false;
   }
-  return false;
+  auto next = queue_.begin();
+  now_ = next->first.first;
+  // Dequeue before dispatch: the callback may schedule or cancel events.
+  std::function<void()> fn = std::move(next->second);
+  queue_.erase(next);
+  ++dispatched_;
+  fn();
+  return true;
 }
 
 uint64_t EventScheduler::Run() {
   uint64_t n = 0;
-  while (DispatchNext()) {
+  while (Step()) {
     ++n;
   }
   return n;
@@ -139,37 +52,12 @@ uint64_t EventScheduler::Run() {
 
 uint64_t EventScheduler::RunUntil(SimTime deadline) {
   uint64_t n = 0;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if (!EntryLive(top)) {
-      Slot& slot = slots_[top.slot];
-      if (slot.live && slot.generation == top.generation) {
-        ReleaseSlot(top.slot);
-      }
-      PopTop();
-      continue;
-    }
-    if (top.when > deadline) {
-      break;
-    }
-    if (DispatchNext()) {
-      ++n;
-    }
+  while (!queue_.empty() && queue_.begin()->first.first <= deadline) {
+    Step();
+    ++n;
   }
   if (deadline > now_) {
     now_ = deadline;
-  }
-  return n;
-}
-
-bool EventScheduler::Step() { return DispatchNext(); }
-
-size_t EventScheduler::PendingCount() const {
-  size_t n = 0;
-  for (const HeapEntry& entry : heap_) {
-    if (EntryLive(entry)) {
-      ++n;
-    }
   }
   return n;
 }

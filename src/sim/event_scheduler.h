@@ -3,35 +3,40 @@
 // Events are closures scheduled at absolute simulated times. The scheduler
 // dispatches them in time order; ties are broken by insertion order so that
 // runs are fully deterministic. Events can be cancelled through the handle
-// returned at scheduling time, which the flow simulator uses extensively to
-// re-plan a flow's completion when bandwidth allocations change.
+// returned at scheduling time; the flow simulator keeps one such handle, for
+// its next-completion tick, and re-plans it when allocations change.
 //
-// Implementation notes: the heap holds small PODs that index into a slab of
-// slots carrying the closures, so sift-downs never move std::functions —
-// re-planning cancels and reschedules the majority of flow completions in a
-// busy simulation, and moving fat entries through the heap dominated its
-// cost. Cancelled entries are skipped (and their slots freed) at pop time.
+// The queue is one ordered map keyed by (time, insertion sequence). A
+// cancelled event is erased on the spot, so the map holds exactly the
+// pending events.
 
 #ifndef SRC_SIM_EVENT_SCHEDULER_H_
 #define SRC_SIM_EVENT_SCHEDULER_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
+#include <map>
+#include <utility>
 
 #include "src/sim/sim_time.h"
 
 namespace saba {
 
+class EventScheduler;
+
+// An event's place in the queue: its time, then its insertion sequence
+// number, which is unique and orders same-time events first in, first out.
+using EventKey = std::pair<SimTime, uint64_t>;
+
 // Handle to a scheduled event. Copyable; all copies refer to the same event.
-// A default-constructed handle refers to nothing and is inert.
+// A default-constructed handle refers to nothing and is inert. A handle must
+// not outlive the scheduler that returned it.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  // Cancels the event if it has not fired yet. Safe to call repeatedly and on
-  // default-constructed handles.
+  // Cancels the event if it has not fired yet. Safe to call repeatedly, after
+  // the event fired, and on default-constructed handles.
   void Cancel();
 
   // True if the event is still queued and not cancelled.
@@ -40,14 +45,10 @@ class EventHandle {
  private:
   friend class EventScheduler;
 
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-  };
+  EventHandle(EventScheduler* scheduler, EventKey key) : scheduler_(scheduler), key_(key) {}
 
-  explicit EventHandle(std::shared_ptr<State> state) : state_(std::move(state)) {}
-
-  std::shared_ptr<State> state_;
+  EventScheduler* scheduler_ = nullptr;
+  EventKey key_;
 };
 
 // Single-threaded discrete-event scheduler.
@@ -89,48 +90,16 @@ class EventScheduler {
   // Runs at most one event. Returns false if the queue is empty.
   bool Step();
 
-  // Number of queued, non-cancelled events. O(n): intended for tests.
-  size_t PendingCount() const;
+  // Number of queued, non-cancelled events.
+  size_t PendingCount() const { return queue_.size(); }
 
   // Total events dispatched over the scheduler's lifetime.
   uint64_t dispatched_count() const { return dispatched_; }
 
  private:
-  struct HeapEntry {
-    SimTime when = 0;
-    uint64_t seq = 0;  // Tie-breaker: FIFO among same-time events.
-    uint32_t slot = 0;
-    uint32_t generation = 0;  // Guards against slot reuse.
-  };
+  friend class EventHandle;
 
-  struct Slot {
-    std::function<void()> fn;
-    std::shared_ptr<EventHandle::State> state;
-    uint32_t generation = 0;
-    bool live = false;
-  };
-
-  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
-    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
-  }
-
-  void SiftUp(size_t i);
-  void SiftDown(size_t i);
-  void Push(HeapEntry entry);
-  void PopTop();
-
-  // True if the heap entry still refers to a live, uncancelled event.
-  bool EntryLive(const HeapEntry& entry) const;
-
-  // Pops and dispatches the next live event, if any.
-  bool DispatchNext();
-
-  // Releases a slot back to the freelist.
-  void ReleaseSlot(uint32_t slot);
-
-  std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_slots_;
+  std::map<EventKey, std::function<void()>> queue_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t dispatched_ = 0;

@@ -3,37 +3,9 @@
 #include <cstdio>
 
 namespace saba {
-namespace {
 
-LogLevel g_level = LogLevel::kWarning;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kNone:
-      return "NONE";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_level = level; }
-
-LogLevel GetLogLevel() { return g_level; }
-
-void LogMessage(LogLevel level, const std::string& message) {
-  if (level < g_level || level == LogLevel::kNone) {
-    return;
-  }
-  std::fprintf(stderr, "[%s] %s\n", LevelName(level), message.c_str());
+void LogWarning(const std::string& message) {
+  std::fprintf(stderr, "[WARN] %s\n", message.c_str());
 }
 
 }  // namespace saba

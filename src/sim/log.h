@@ -1,8 +1,7 @@
-// Minimal leveled logging for the simulator and controller.
+// Warning lines for the simulator and controller.
 //
 // Benchmarks print their tables to stdout; diagnostics go to stderr through
-// this logger so the two never interleave in captured output. Level is
-// process-global and defaults to kWarning so benches stay quiet.
+// this logger so the two never interleave in captured output.
 
 #ifndef SRC_SIM_LOG_H_
 #define SRC_SIM_LOG_H_
@@ -12,47 +11,29 @@
 
 namespace saba {
 
-enum class LogLevel {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kNone = 4,
-};
+// Writes "[WARN] <message>" as one line to stderr.
+void LogWarning(const std::string& message);
 
-// Sets the process-global minimum level that is emitted.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Emits one line to stderr if `level` >= the global level.
-void LogMessage(LogLevel level, const std::string& message);
-
-// Stream-style helper: LogStream(LogLevel::kInfo) << "x=" << x; emits at
-// destruction.
-class LogStream {
+// Stream-style helper: SABA_LOG_WARNING << "x=" << x; emits at destruction.
+class WarningStream {
  public:
-  explicit LogStream(LogLevel level) : level_(level) {}
-  ~LogStream() { LogMessage(level_, stream_.str()); }
+  WarningStream() = default;
+  ~WarningStream() { LogWarning(stream_.str()); }
 
-  LogStream(const LogStream&) = delete;
-  LogStream& operator=(const LogStream&) = delete;
+  WarningStream(const WarningStream&) = delete;
+  WarningStream& operator=(const WarningStream&) = delete;
 
   template <typename T>
-  LogStream& operator<<(const T& value) {
+  WarningStream& operator<<(const T& value) {
     stream_ << value;
     return *this;
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
-#define SABA_LOG(level) ::saba::LogStream(level)
-#define SABA_LOG_DEBUG ::saba::LogStream(::saba::LogLevel::kDebug)
-#define SABA_LOG_INFO ::saba::LogStream(::saba::LogLevel::kInfo)
-#define SABA_LOG_WARNING ::saba::LogStream(::saba::LogLevel::kWarning)
-#define SABA_LOG_ERROR ::saba::LogStream(::saba::LogLevel::kError)
+#define SABA_LOG_WARNING ::saba::WarningStream()
 
 }  // namespace saba
 

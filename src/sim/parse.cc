@@ -1,0 +1,38 @@
+#include "src/sim/parse.h"
+
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+
+namespace saba {
+
+std::optional<int64_t> ParseInt64(const std::string& text) {
+  // strtoll silently skips leading whitespace; the documented contract is
+  // "the whole string is the number", so reject it up front.
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (errno == ERANGE || end != text.c_str() + text.size()) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(parsed);
+}
+
+std::optional<double> ParseDoubleField(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (errno == ERANGE || end != text.c_str() + text.size() || !std::isfinite(parsed)) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+}  // namespace saba

@@ -1,24 +1,14 @@
 #include "src/sim/worker_pool.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace saba {
 
-namespace {
-
-size_t Remaining(const std::atomic<size_t>& next, size_t end) {
-  const size_t claimed = next.load(std::memory_order_relaxed);
-  return end - std::min(claimed, end);
-}
-
-}  // namespace
-
-WorkerPool::WorkerPool(int jobs) : jobs_(jobs), blocks_(static_cast<size_t>(jobs)) {
+WorkerPool::WorkerPool(int jobs) : jobs_(jobs) {
   assert(jobs >= 1 && "a pool needs at least the calling thread");
   threads_.reserve(static_cast<size_t>(jobs_ - 1));
-  for (int slot = 1; slot < jobs_; ++slot) {
-    threads_.emplace_back(&WorkerPool::WorkerMain, this, slot);
+  for (int i = 1; i < jobs_; ++i) {
+    threads_.emplace_back(&WorkerPool::WorkerMain, this);
   }
 }
 
@@ -33,39 +23,33 @@ WorkerPool::~WorkerPool() {
   }
 }
 
-void WorkerPool::Run(size_t num_tasks, const std::function<void(size_t, int)>& body) {
-  if (num_tasks == 0) {
-    return;
-  }
-  if (threads_.empty() || num_tasks == 1) {
-    // Inline path: same body calls, slot 0, no synchronization.
+void WorkerPool::Run(size_t num_tasks, const std::function<void(size_t)>& body) {
+  if (threads_.empty() || num_tasks <= 1) {
+    // Inline path: same body calls, no synchronization.
     for (size_t i = 0; i < num_tasks; ++i) {
-      body(i, 0);
+      body(i);
     }
     return;
   }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const size_t jobs = static_cast<size_t>(jobs_);
-    for (size_t slot = 0; slot < jobs; ++slot) {
-      blocks_[slot].next.store(num_tasks * slot / jobs, std::memory_order_relaxed);
-      blocks_[slot].end = num_tasks * (slot + 1) / jobs;
-    }
+    next_.store(0, std::memory_order_relaxed);
+    num_tasks_ = num_tasks;
     body_ = &body;
     pending_ = static_cast<int>(threads_.size());
-    ++epoch_;  // Publishes body_ and the blocks to the workers.
+    ++epoch_;  // Publishes the counter, num_tasks_ and body_ to the workers.
   }
   work_ready_.notify_all();
 
-  Drain(0);  // The caller is slot 0 and works too.
+  Drain();  // The caller works too.
 
   std::unique_lock<std::mutex> lock(mu_);
   work_done_.wait(lock, [this] { return pending_ == 0; });
   body_ = nullptr;
 }
 
-void WorkerPool::WorkerMain(int slot) {
+void WorkerPool::WorkerMain() {
   uint64_t seen = 0;
   for (;;) {
     {
@@ -76,7 +60,7 @@ void WorkerPool::WorkerMain(int slot) {
       }
       seen = epoch_;
     }
-    Drain(slot);
+    Drain();
     bool last = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -88,32 +72,13 @@ void WorkerPool::WorkerMain(int slot) {
   }
 }
 
-void WorkerPool::Drain(int slot) {
-  const auto& body = *body_;
+void WorkerPool::Drain() {
   for (;;) {
-    Block& own = blocks_[static_cast<size_t>(slot)];
-    const size_t index = own.next.fetch_add(1, std::memory_order_relaxed);
-    if (index < own.end) {
-      body(index, slot);
-      continue;
+    const size_t index = next_.fetch_add(1, std::memory_order_relaxed);
+    if (index >= num_tasks_) {
+      return;
     }
-    // Own block drained: steal from the fullest block.
-    Block* victim = nullptr;
-    size_t most = 0;
-    for (Block& other : blocks_) {
-      const size_t remaining = Remaining(other.next, other.end);
-      if (remaining > most) {
-        most = remaining;
-        victim = &other;
-      }
-    }
-    if (victim == nullptr) {
-      return;  // Every block is empty.
-    }
-    const size_t stolen = victim->next.fetch_add(1, std::memory_order_relaxed);
-    if (stolen < victim->end) {
-      body(stolen, slot);
-    }
+    (*body_)(index);
   }
 }
 

@@ -9,12 +9,11 @@
 // R7 bans raw std::thread / std::async / mutex construction everywhere else —
 // and gives the TSan CI job a single scheduling substrate to certify.
 //
-// Scheduling model: Run(n, body) executes body(i, slot) exactly once for every
+// Scheduling model: Run(n, body) executes body(i) exactly once for every
 // index i in [0, n). Which thread runs which index, and in what order, is NOT
 // deterministic; determinism is the caller's obligation. Callers uphold it by
-// making body(i) a pure function of i that writes only i-indexed state (the
-// SweepRunner contract) or slot-indexed scratch (the engine contract, one
-// arena per slot) — then no schedule can change any observable byte.
+// making body(i) a pure function of i that writes only i-indexed state — then
+// no schedule can change any observable byte.
 
 #ifndef SRC_SIM_WORKER_POOL_H_
 #define SRC_SIM_WORKER_POOL_H_
@@ -33,8 +32,8 @@ namespace saba {
 class WorkerPool {
  public:
   // Spawns jobs - 1 persistent worker threads; the thread calling Run()
-  // always participates as slot 0. jobs must be >= 1 (1 = fully inline, no
-  // threads are ever created).
+  // always works too. jobs must be >= 1 (1 = fully inline, no threads are
+  // ever created).
   explicit WorkerPool(int jobs);
   ~WorkerPool();
 
@@ -43,33 +42,24 @@ class WorkerPool {
 
   int jobs() const { return jobs_; }
 
-  // Runs body(index, slot) for every index in [0, num_tasks), with slot in
-  // [0, jobs()); returns after every index has completed. Indices are claimed
-  // by chunked work stealing, so the (index, slot) pairing is scheduling-
-  // dependent — see the header comment for what callers must guarantee.
-  // `body` must not throw (callers wanting exception transport capture
-  // exceptions into index-keyed slots, as SweepRunner does). Run() is not
-  // reentrant and must not be called from two threads at once.
-  void Run(size_t num_tasks, const std::function<void(size_t index, int slot)>& body);
+  // Runs body(index) for every index in [0, num_tasks); returns after every
+  // index has completed. Threads claim indices in ascending order from one
+  // shared counter, so which thread runs an index is scheduling-dependent —
+  // see the header comment for what callers must guarantee. `body` must not
+  // throw (callers wanting exception transport capture exceptions into
+  // index-keyed slots, as SweepRunner does). Run() is not reentrant and must
+  // not be called from two threads at once.
+  void Run(size_t num_tasks, const std::function<void(size_t index)>& body);
 
  private:
-  // One contiguous range of task indices with an atomic claim cursor. Workers
-  // drain their own block front-to-back, then steal from the fullest block;
-  // claims are a single fetch_add, so the hot path never locks. The cursor
-  // may overshoot `end` when thieves race on a near-empty block — harmless,
-  // remaining work is computed as end - min(next, end).
-  struct alignas(64) Block {
-    std::atomic<size_t> next{0};
-    size_t end = 0;
-  };
-
-  void WorkerMain(int slot);
-  // Claims and runs tasks until no block has work left.
-  void Drain(int slot);
+  void WorkerMain();
+  // Claims and runs indices until every index of this Run is claimed.
+  void Drain();
 
   const int jobs_;
-  std::vector<Block> blocks_;  // blocks_[slot]; sized jobs_, reused per Run.
-  const std::function<void(size_t, int)>* body_ = nullptr;
+  std::atomic<size_t> next_{0};  // The next unclaimed index; may overshoot.
+  size_t num_tasks_ = 0;
+  const std::function<void(size_t)>* body_ = nullptr;
 
   std::mutex mu_;
   std::condition_variable work_ready_;  // Signals a new epoch (or shutdown).
@@ -78,7 +68,7 @@ class WorkerPool {
   int pending_ = 0;                     // Workers still draining this epoch.
   bool shutdown_ = false;
 
-  std::vector<std::thread> threads_;  // jobs_ - 1 workers, slots 1..jobs_-1.
+  std::vector<std::thread> threads_;  // jobs_ - 1 workers.
 };
 
 }  // namespace saba

@@ -1,7 +1,7 @@
-// Differential stress test of the slab-heap event scheduler against a
-// straightforward ordered-multimap reference: random interleavings of
-// schedule, cancel, and bounded runs must dispatch exactly the same events
-// in exactly the same order.
+// Differential stress test of the event scheduler against an independent
+// (time, sequence)-ordered reference: random interleavings of schedule,
+// cancel, and bounded runs must dispatch exactly the same events in exactly
+// the same order.
 
 #include <gtest/gtest.h>
 
@@ -84,8 +84,8 @@ TEST_P(SchedulerStressTest, MatchesOrderedMapReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerStressTest, ::testing::Range(1, 13));
 
 TEST(SchedulerStressTest, ManyCancellationsDoNotLeakSlots) {
-  // Schedule and immediately cancel in a tight loop; the freelist must keep
-  // slab growth bounded (regression guard for the slab allocator).
+  // Schedule and immediately cancel in a tight loop; every cancelled event
+  // must leave the queue, so it ends empty with the survivors dispatched.
   EventScheduler scheduler;
   for (int i = 0; i < 100000; ++i) {
     EventHandle handle = scheduler.ScheduleAfter(static_cast<double>(i % 7), [] {});

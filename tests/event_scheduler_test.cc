@@ -90,6 +90,19 @@ TEST(EventSchedulerTest, HandleNotPendingAfterFire) {
   EXPECT_FALSE(handle.pending());
 }
 
+TEST(EventSchedulerTest, CancelAfterFireLeavesLaterEventsAlone) {
+  EventScheduler sched;
+  EventHandle fired_handle = sched.ScheduleAt(1.0, [] {});
+  EXPECT_TRUE(sched.Step());
+  int later = 0;
+  EventHandle later_handle = sched.ScheduleAt(2.0, [&] { ++later; });
+  fired_handle.Cancel();  // Stale handle: must not touch the later event.
+  EXPECT_FALSE(fired_handle.pending());
+  EXPECT_TRUE(later_handle.pending());
+  EXPECT_EQ(sched.Run(), 1u);
+  EXPECT_EQ(later, 1);
+}
+
 TEST(EventSchedulerTest, RunUntilStopsAtDeadline) {
   EventScheduler sched;
   std::vector<int> order;

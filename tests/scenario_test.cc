@@ -155,7 +155,17 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"host_count_overflow",
                 "topology spineleaf tor=65536 hosts_per_tor=65537 pods=2\njob LR nodes=2\n"},
         BadCase{"fractional_servers", "topology star servers=2.7\njob LR nodes=2\n"},
-        BadCase{"fractional_k", "topology fattree k=4.9\njob LR nodes=4\n"}),
+        BadCase{"fractional_k", "topology fattree k=4.9\njob LR nodes=4\n"},
+        // Magnitudes far beyond any real job, at which a run does not finish.
+        BadCase{"huge_start",
+                "topology star servers=8\njob PR nodes=4\njob LR nodes=4 start=1e15\n"},
+        BadCase{"huge_dataset",
+                "topology star servers=8\njob PR nodes=4\njob LR nodes=4 dataset=1e300\n"},
+        // Node ids are integers: id=16.9 must not silently fail switch 16.
+        BadCase{"fractional_switch_id",
+                "topology fattree k=4\nfail switch id=16.9 at=1\njob LR nodes=4\n"},
+        BadCase{"huge_node_id",
+                "topology fattree k=4\nfail link a=1e300 b=24 at=1\njob LR nodes=4\n"}),
     [](const ::testing::TestParamInfo<BadCase>& info) { return info.param.name; });
 
 TEST(ScenarioJobsTest, PlacementRespectsNodeCountsAndDistinctHosts) {

@@ -253,9 +253,9 @@ void CheckPoolCaptures(const std::vector<TuModel>& models, std::vector<Finding>*
             {model.display_path, dispatch.line, "R11",
              "by-reference capture flows into WorkerPool::Run" + how +
                  "; every captured reference is shared across worker threads, so the "
-                 "§7.3 confinement argument (slot-confined scratch, index-owned writes) "
-                 "must be stated explicitly — annotate the dispatch with "
-                 "// saba-lint: pool-capture-ok(<reason>) or capture by value"});
+                 "§7.3 confinement argument (index-owned writes) must be stated explicitly — "
+                 "annotate the dispatch with // saba-lint: pool-capture-ok(<reason>) or "
+                 "capture by value"});
       }
     }
   }

@@ -269,13 +269,13 @@ TEST(SabaLintProjectTest, R11GoldenFindingsForRefCapturesIntoPool) {
   EXPECT_EQ(Render(findings),
             "src/exp/r11_pool_capture.cc:9: [R11] by-reference capture flows into "
             "WorkerPool::Run; every captured reference is shared across worker threads, so the "
-            "§7.3 confinement argument (slot-confined scratch, index-owned writes) must be "
-            "stated explicitly — annotate the dispatch with "
-            "// saba-lint: pool-capture-ok(<reason>) or capture by value\n"
+            "§7.3 confinement argument (index-owned writes) must be stated explicitly — "
+            "annotate the dispatch with // saba-lint: pool-capture-ok(<reason>) or capture by "
+            "value\n"
             "src/exp/r11_pool_capture.cc:16: [R11] by-reference capture flows into "
             "WorkerPool::Run (via local 'task', line 15); every captured reference is shared "
-            "across worker threads, so the §7.3 confinement argument (slot-confined scratch, "
-            "index-owned writes) must be stated explicitly — annotate the dispatch with "
+            "across worker threads, so the §7.3 confinement argument (index-owned writes) "
+            "must be stated explicitly — annotate the dispatch with "
             "// saba-lint: pool-capture-ok(<reason>) or capture by value\n")
       << "capture-free, by-value, annotated-dispatch, annotated-lambda and non-pool Run() "
          "calls stay legal";
@@ -289,7 +289,7 @@ TEST(SabaLintProjectTest, R11ResolvesPoolTypedNamesAcrossFiles) {
   const std::string user_cc =
       "void Use(Owner& o, int n) {\n"
       "  int acc = 0;\n"
-      "  o.pool_member->Run(n, [&](size_t i, int s) { acc += s; });\n"
+      "  o.pool_member->Run(n, [&](size_t i) { acc += i; });\n"
       "}\n";
 
   MiniProject merged;

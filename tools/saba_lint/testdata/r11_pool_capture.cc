@@ -6,17 +6,17 @@ namespace saba {
 
 void Fan(WorkerPool& pool, int n) {
   int sum = 0;
-  pool.Run(n, [&](size_t index, int slot) { sum += slot; });
-  pool.Run(n, [](size_t index, int slot) {});
-  pool.Run(n, [sum](size_t index, int slot) {});
-  // saba-lint: pool-capture-ok(fixture: slot-confined writes only)
-  pool.Run(n, [&](size_t index, int slot) { sum += slot; });
+  pool.Run(n, [&](size_t index) { sum += index; });
+  pool.Run(n, [](size_t index) {});
+  pool.Run(n, [sum](size_t index) {});
+  // saba-lint: pool-capture-ok(fixture: index-owned writes only)
+  pool.Run(n, [&](size_t index) { sum += index; });
 
-  auto task = [&](size_t index, int slot) { sum += slot; };
+  auto task = [&](size_t index) { sum += index; };
   pool.Run(n, task);
 
   // saba-lint: pool-capture-ok(fixture: index-owned writes)
-  auto audited = [&](size_t index, int slot) { sum += slot; };
+  auto audited = [&](size_t index) { sum += index; };
   pool.Run(n, audited);
 }
 
