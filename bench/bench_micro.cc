@@ -547,6 +547,22 @@ void BM_RouterCachedPath(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterCachedPath);
 
+// A new Router per iteration routes host 0 to every other host of the default
+// spine-leaf, so every distance table is built cold: this row times the
+// reverse BFS work every new Network pays, which the warm rows above skip.
+void BM_RouterFreshTables(benchmark::State& state) {
+  const Topology topo = BuildSpineLeaf(SpineLeafParams{});
+  const std::vector<NodeId> hosts = topo.Hosts();
+  for (auto _ : state) {
+    Router router(&topo);
+    for (size_t i = 1; i < hosts.size(); ++i) {
+      benchmark::DoNotOptimize(router.Route(hosts[0], hosts[i], 0).size());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(hosts.size() - 1));
+}
+BENCHMARK(BM_RouterFreshTables);
+
 // --- Machine-readable output ---------------------------------------------------
 
 // Console reporter that also records every finished run so main() can dump a

@@ -75,11 +75,15 @@ class FecnCongestionModel : public CongestionModel {
 };
 
 // Topology + per-port configs + router + congestion model, owned together.
+// Not copyable and not movable: the router points at this object's topology.
 class Network {
  public:
   // Every port starts with `default_queues` queues, all SLs mapped to queue
   // 0, equal weights, and an ideal congestion model.
   Network(Topology topology, int default_queues = 1);
+
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   Topology& topology() { return topology_; }
   const Topology& topology() const { return topology_; }

@@ -5,9 +5,20 @@
 // shortest paths over *usable* links, with equal-cost next hops selected by a
 // deterministic hash of (src, dst, salt). The salt lets a connection pin its
 // path (as an InfiniBand connection does) while different connections spread
-// across the fabric like ECMP. Both distance tables and resolved paths are
-// cached, since the stage-structured workloads reuse the same node pairs
-// across stages; the caches are invalidated whenever the topology's failure
+// across the fabric like ECMP.
+//
+// Two caches serve the stage-structured workloads, which reuse the same node
+// pairs across stages: resolved paths, keyed by the full (src, dst, salt)
+// triple, and hop-count tables, one reverse BFS per *anchor* node. A
+// destination h is single-homed when it has exactly one in-link s->h and every
+// out-link of h goes back to s; every host the star, spine-leaf and fat-tree
+// builders make is. Its hop counts are read from the table of its attachment
+// switch s: d(n->h) = d(n->s) + 1 for n != h, and 0 at h. When that last hop
+// is not usable (the link, s or h is down), no other node reaches h, while h's
+// own routes out are unaffected. Any other destination anchors its own table,
+// so on the provided fabrics the cache holds at most one table per switch,
+// never one per host. The rule is read from the topology's shape at
+// construction. Both caches are dropped whenever the topology's failure
 // epoch() advances, so routes recompute around link/switch failures.
 
 #ifndef SRC_NET_ROUTING_H_
@@ -74,25 +85,44 @@ class Router {
   size_t cached_paths() const { return path_cache_.size(); }
 
  private:
+  // Hop counts to one destination over usable links: 0 at `dst`, and
+  // (*table)[n] + extra_hops at every other node n (unreachable stays
+  // unreachable). A null table means no other node reaches `dst`.
+  struct HopsTo {
+    NodeId dst;
+    const std::vector<int32_t>* table;
+    int32_t extra_hops;
+
+    int32_t operator()(NodeId n) const;
+  };
+
   // Drops both caches if the topology's failure epoch moved since the last
   // query. Called on every public entry point.
   void MaybeInvalidate();
 
-  // Hop counts from every node to `dst` over usable links, computed by
+  // Hop counts to `dst`: through its attachment switch's table when `dst` is
+  // single-homed, through its own table otherwise (see the file comment).
+  HopsTo DistancesTo(NodeId dst);
+
+  // Hop counts from every node to `anchor` over usable links, computed by
   // reverse BFS and cached. Unreachable nodes hold INT32_MAX.
-  const std::vector<int32_t>& DistanceTo(NodeId dst);
+  const std::vector<int32_t>& TableFor(NodeId anchor);
 
   const Topology* topo_;
   // Failure epoch the caches were computed at.
   uint64_t seen_epoch_ = 0;
   // Reverse adjacency: in_links_[n] lists links whose dst is n.
   std::vector<std::vector<LinkId>> in_links_;
-  // Both caches are lookup-only (find/emplace by key, plus size()); nothing
-  // ever iterates them, so their order can't reach routing decisions.
-  // saba-lint: unordered-iter-ok(lookup-only cache, never iterated)
-  std::unordered_map<NodeId, std::vector<int32_t>> dist_cache_;
+  // last_hop_[h] is the one in-link of a single-homed node h, and
+  // kInvalidLink for every other node.
+  std::vector<LinkId> last_hop_;
+  // Node-indexed table cache: tables_[a] is anchor a's table, empty until
+  // first asked for.
+  std::vector<std::vector<int32_t>> tables_;
   // Keyed by the full (src, dst, salt) triple — PathDigest is only the
   // hasher, so a digest collision costs a bucket probe, never a wrong route.
+  // Lookup-only (find/emplace by key, plus size()); nothing ever iterates it,
+  // so its order can't reach routing decisions.
   // saba-lint: unordered-iter-ok(lookup-only cache, never iterated)
   std::unordered_map<RouteKey, std::vector<LinkId>, RouteKeyHash> path_cache_;
 };

@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/net/units.h"
 
 namespace saba {
 namespace {
+
+// The router holds a pointer to the network's own topology, so a copied or
+// moved Network would route over the source object's topology.
+static_assert(!std::is_copy_constructible_v<Network>, "Network must not be copyable");
+static_assert(!std::is_copy_assignable_v<Network>, "Network must not be copyable");
+static_assert(!std::is_move_constructible_v<Network>, "Network must not be movable");
+static_assert(!std::is_move_assignable_v<Network>, "Network must not be movable");
 
 TEST(PortConfigTest, DefaultsToSingleSharedQueue) {
   PortConfig config;

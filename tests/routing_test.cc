@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/net/units.h"
+#include "src/sim/rng.h"
 
 namespace saba {
 namespace {
@@ -264,6 +269,205 @@ TEST(RouterTest, UnreachableContract) {
   topo.SetNodeUp(4, true);
   EXPECT_TRUE(router.Reachable(0, 1));
   EXPECT_FALSE(router.Route(0, 1, 0).empty());
+}
+
+// --- Per-attachment tables against the per-destination reference ---------------
+//
+// The router reads a single-homed host's hop counts from its ToR's table. The
+// reference below is the router before that change: one reverse BFS per
+// destination over usable links, then the same ECMP walk (PathDigest seed,
+// splitmix64 per-hop hash). Every route must match it bit for bit.
+
+constexpr int32_t kRefUnreachable = std::numeric_limits<int32_t>::max();
+
+std::vector<int32_t> ReferenceDistances(const Topology& topo, NodeId dst) {
+  std::vector<int32_t> dist(topo.num_nodes(), kRefUnreachable);
+  dist[static_cast<size_t>(dst)] = 0;
+  std::vector<NodeId> frontier{dst};
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    const NodeId n = frontier[i];
+    for (LinkId l = 0; l < static_cast<LinkId>(topo.num_links()); ++l) {
+      const NodeId prev = topo.link(l).src;
+      if (topo.link(l).dst == n && topo.LinkUsable(l) &&
+          dist[static_cast<size_t>(prev)] == kRefUnreachable) {
+        dist[static_cast<size_t>(prev)] = dist[static_cast<size_t>(n)] + 1;
+        frontier.push_back(prev);
+      }
+    }
+  }
+  return dist;
+}
+
+std::vector<LinkId> ReferenceRoute(const Topology& topo, const std::vector<int32_t>& dist,
+                                   NodeId src, NodeId dst, uint64_t salt) {
+  std::vector<LinkId> path;
+  if (src == dst || dist[static_cast<size_t>(src)] == kRefUnreachable) {
+    return path;
+  }
+  const uint64_t digest = PathDigest(src, dst, salt);
+  for (NodeId u = src; u != dst; u = topo.link(path.back()).dst) {
+    std::vector<LinkId> candidates;
+    for (LinkId l : topo.OutLinks(u)) {
+      if (topo.LinkUsable(l) &&
+          dist[static_cast<size_t>(topo.link(l).dst)] == dist[static_cast<size_t>(u)] - 1) {
+        candidates.push_back(l);
+      }
+    }
+    const uint64_t h = TestMix64(digest ^ (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 17));
+    path.push_back(candidates[h % candidates.size()]);
+  }
+  return path;
+}
+
+// Describes the first query where the router and the reference disagree, or
+// returns "" when none does. Sources are hosts; destinations are every host
+// (the attachment tables) and every switch (their own tables); salts 0-3.
+std::string FirstMismatch(const Topology& topo, Router* router) {
+  const std::vector<NodeId> hosts = topo.Hosts();
+  std::vector<NodeId> dsts = hosts;
+  for (NodeId sw : topo.Switches()) {
+    dsts.push_back(sw);
+  }
+  for (NodeId dst : dsts) {
+    const std::vector<int32_t> dist = ReferenceDistances(topo, dst);
+    for (NodeId src : hosts) {
+      const std::string pair = std::to_string(src) + "->" + std::to_string(dst);
+      const bool reachable = src == dst || dist[static_cast<size_t>(src)] != kRefUnreachable;
+      if (router->Reachable(src, dst) != reachable) {
+        return "Reachable " + pair;
+      }
+      for (uint64_t salt = 0; salt < 4; ++salt) {
+        if (router->Route(src, dst, salt) != ReferenceRoute(topo, dist, src, dst, salt)) {
+          return "Route " + pair + " salt " + std::to_string(salt);
+        }
+      }
+    }
+  }
+  return "";
+}
+
+TEST(RouterTest, MatchesPerDestinationBfsUnderRandomFailures) {
+  struct Fabric {
+    std::string name;
+    Topology topo;
+  };
+  std::vector<Fabric> fabrics;
+  fabrics.push_back({"star", BuildSingleSwitchStar(8, Gbps64(10))});
+  fabrics.push_back({"spine-leaf, 3 hosts per ToR",
+                     BuildSpineLeaf({.num_spine = 4,
+                                     .num_leaf = 4,
+                                     .num_tor = 4,
+                                     .hosts_per_tor = 3,
+                                     .num_pods = 2})});
+  fabrics.push_back({"spine-leaf, 1 host per ToR",
+                     BuildSpineLeaf({.num_spine = 4,
+                                     .num_leaf = 4,
+                                     .num_tor = 4,
+                                     .hosts_per_tor = 1,
+                                     .num_pods = 2})});
+  fabrics.push_back({"fat-tree k=4", BuildFatTree({.k = 4})});
+
+  Rng rng(19);
+  for (Fabric& fabric : fabrics) {
+    Topology& topo = fabric.topo;
+    Router router(&topo);
+    // Failure targets: every directed link (both directions of each host
+    // link), then every host, ToR and leaf.
+    const size_t num_links = topo.num_links();
+    std::vector<NodeId> nodes;
+    for (NodeId n = 0; n < static_cast<NodeId>(topo.num_nodes()); ++n) {
+      const NodeKind kind = topo.node(n).kind;
+      if (kind == NodeKind::kHost || kind == NodeKind::kTorSwitch ||
+          kind == NodeKind::kLeafSwitch) {
+        nodes.push_back(n);
+      }
+    }
+    const auto set_up = [&](size_t target, bool up) {
+      if (target < num_links) {
+        topo.SetLinkUp(static_cast<LinkId>(target), up);
+      } else {
+        topo.SetNodeUp(nodes[target - num_links], up);
+      }
+    };
+
+    ASSERT_EQ(FirstMismatch(topo, &router), "") << fabric.name << ", no failures";
+    // Each flip restores a down target half the time and fails an up one
+    // otherwise, so the fabric moves through a few concurrent failures.
+    std::vector<size_t> down;
+    for (int flip = 0; flip < 50; ++flip) {
+      if (!down.empty() && rng.Bernoulli(0.5)) {
+        const size_t i =
+            static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(down.size()) - 1));
+        set_up(down[i], true);
+        down.erase(down.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        size_t target = 0;
+        do {
+          target = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(num_links + nodes.size()) - 1));
+        } while (std::find(down.begin(), down.end(), target) != down.end());
+        set_up(target, false);
+        down.push_back(target);
+      }
+      ASSERT_EQ(FirstMismatch(topo, &router), "") << fabric.name << ", flip " << flip;
+    }
+  }
+}
+
+// A small spine-leaf for the last-hop cases: hosts 0-11, three per ToR.
+Topology SmallSpineLeaf() {
+  return BuildSpineLeaf(
+      {.num_spine = 4, .num_leaf = 4, .num_tor = 4, .hosts_per_tor = 3, .num_pods = 2});
+}
+
+NodeId TorOf(const Topology& topo, NodeId host) {
+  return topo.link(topo.OutLinks(host).front()).dst;
+}
+
+TEST(RouterTest, DownTorToHostLinkCutsOnlyRoutesIntoTheHost) {
+  Topology topo = SmallSpineLeaf();
+  Router router(&topo);
+  const NodeId h = 4;
+  topo.SetLinkUp(topo.FindLink(TorOf(topo, h), h), false);
+  for (NodeId n = 0; n < static_cast<NodeId>(topo.num_nodes()); ++n) {
+    if (n == h) {
+      continue;
+    }
+    EXPECT_FALSE(router.Reachable(n, h)) << n;
+    EXPECT_TRUE(router.Route(n, h, 0).empty()) << n;
+    EXPECT_TRUE(router.Reachable(h, n)) << n;
+    ExpectValidPath(topo, router.Route(h, n, 0), h, n);
+  }
+}
+
+TEST(RouterTest, DownHostToTorLinkCutsOnlyRoutesOutOfTheHost) {
+  Topology topo = SmallSpineLeaf();
+  Router router(&topo);
+  const NodeId h = 4;
+  topo.SetLinkUp(topo.FindLink(h, TorOf(topo, h)), false);
+  for (NodeId n = 0; n < static_cast<NodeId>(topo.num_nodes()); ++n) {
+    if (n == h) {
+      continue;
+    }
+    EXPECT_FALSE(router.Reachable(h, n)) << n;
+    EXPECT_TRUE(router.Route(h, n, 0).empty()) << n;
+    EXPECT_TRUE(router.Reachable(n, h)) << n;
+    ExpectValidPath(topo, router.Route(n, h, 0), n, h);
+  }
+}
+
+TEST(RouterTest, RestoredLastHopGivesBackPreFailureRoute) {
+  Topology topo = SmallSpineLeaf();
+  Router router(&topo);
+  const NodeId src = 0;
+  const NodeId h = 10;  // Another pod: a six-hop route.
+  const std::vector<LinkId> before = router.Route(src, h, 3);
+  ASSERT_EQ(before.size(), 6u);
+  const LinkId last_hop = topo.FindLink(TorOf(topo, h), h);
+  topo.SetLinkUp(last_hop, false);
+  EXPECT_TRUE(router.Route(src, h, 3).empty());
+  topo.SetLinkUp(last_hop, true);
+  EXPECT_EQ(router.Route(src, h, 3), before);
 }
 
 }  // namespace
