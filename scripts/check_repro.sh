@@ -2,8 +2,9 @@
 # Determinism gate: the benches must produce byte-identical output for the
 # same seed — run-to-run, across sweep worker counts (the SweepRunner
 # contract, DESIGN.md §7 "Determinism & threading model"), across shard
-# counts (§7.3) and with the solve cache on or off (§7.2). CI's build-test
-# job runs this script as its determinism step.
+# counts (§7.3) and with the solve cache on or off (§7.2) — and every example
+# must run to completion. CI's build-test job runs this script as its
+# determinism step.
 # Run from the repository root after building.
 set -euo pipefail
 
@@ -84,20 +85,34 @@ env "${FIG11S[@]}" SABA_SHARDS=1 "$BUILD/bench/bench_fig11_scale" > "$TMP/fig11s
 env "${FIG11S[@]}" SABA_SHARDS=8 "$BUILD/bench/bench_fig11_scale" > "$TMP/fig11s.s8" 2>/dev/null
 same_stdout "bench_fig11_scale (SABA_SHARDS=1 vs 8)" "$TMP/fig11s.s1" "$TMP/fig11s.s8"
 
-# Every shipped scenario must parse, run to completion, and print the same
-# report on a second run. Each run gets 120 s (they take about a second), so a
-# hang fails here by name instead of at CI's job time limit.
-run_scenario() {
-  local code=0
-  timeout 120 "$BUILD/examples/sabasim" "$1" > "$2" 2>/dev/null || code=$?
+# run_example <stdout-file> <example> [args...]: the example must exit 0
+# within 120 s (each takes seconds at most), so a hang fails here by name
+# instead of at CI's job time limit.
+run_example() {
+  local out=$1 code=0
+  shift
+  timeout 120 "$BUILD/examples/$1" "${@:2}" > "$out" 2>/dev/null || code=$?
   if [ "$code" -ne 0 ]; then
-    echo "FAILED: sabasim $1 exited $code (124 = timed out after 120 s)"
+    echo "FAILED: $* exited $code (124 = timed out after 120 s)"
     exit 1
   fi
 }
+
+# Every shipped scenario must parse, run to completion, and print the same
+# report on a second run.
 for f in examples/scenarios/*.txt; do
-  run_scenario "$f" "$TMP/scenario.1"
-  run_scenario "$f" "$TMP/scenario.2"
+  run_example "$TMP/scenario.1" sabasim "$f"
+  run_example "$TMP/scenario.2" sabasim "$f"
   same_stdout "sabasim $f (run to run)" "$TMP/scenario.1" "$TMP/scenario.2"
 done
+
+# The other examples, run to run. datacenter_sim prints the controller's
+# wall-clock calculation time on stdout, so only its exit status is checked.
+for e in quickstart colocate_lr_pr coexistence placement_advisor profiler_tool; do
+  run_example "$TMP/$e.1" "$e"
+  run_example "$TMP/$e.2" "$e"
+  same_stdout "$e (run to run)" "$TMP/$e.1" "$TMP/$e.2"
+done
+run_example "$TMP/datacenter_sim" datacenter_sim
+echo "ok: datacenter_sim (exit status)"
 exit $status

@@ -22,7 +22,6 @@ CentralizedController::CentralizedController(Network* network, FlowSimulator* fl
   assert(table_ != nullptr);
   assert(options_.num_pls >= 1 && options_.num_pls <= kNumServiceLevels);
   assert(options_.reserved_queues >= 0);
-  assert(options_.control_plane_latency_seconds >= 0);
 }
 
 int CentralizedController::AppRegister(AppId app, const std::string& workload_name) {
@@ -165,7 +164,7 @@ void CentralizedController::MarkPortsDirty(const std::vector<LinkId>& links) {
   }
   if (!flush_scheduled_ && !dirty_ports_.empty()) {
     flush_scheduled_ = true;
-    flow_sim_->scheduler()->ScheduleAfter(options_.control_plane_latency_seconds, [this] {
+    flow_sim_->scheduler()->ScheduleAfter(0, [this] {
       flush_scheduled_ = false;
       FlushDirtyPorts();
     });

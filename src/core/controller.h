@@ -65,10 +65,6 @@ struct ControllerOptions {
   // With reservations the operator normally also sets c_saba < 1.
   int reserved_queues = 0;
   double reserved_queue_weight = 0.1;
-  // Control-plane latency: delay between a library notification and the
-  // switch configuration taking effect (RPC + switch programming time).
-  // 0 applies reconfigurations within the same simulated instant.
-  double control_plane_latency_seconds = 0;
   // Signature-keyed memoization of Eq-2 solves and PL-to-queue mappings
   // (DESIGN.md §7.2). Off is for A/B testing only — results are bit-identical
   // either way (the solve is a pure function of the port's app-mix

@@ -149,7 +149,6 @@ DistributedController::DistributedController(Network* network, FlowSimulator* fl
     shard_ctxs_.back().mapper.emplace(database_.pl_models, options.base.solve_cache);
   }
   shard_ports_.resize(static_cast<size_t>(num_shards_));
-  dist_stats_.conn_setups_per_shard.assign(static_cast<size_t>(num_shards_), 0);
 }
 
 int DistributedController::AppRegister(AppId app, const std::string& workload_name) {
@@ -252,25 +251,6 @@ int DistributedController::ShardOfPort(LinkId link) const {
   const Link& l = network_->topology().link(link);
   const NodeId owner = IsSwitch(network_->topology().node(l.src).kind) ? l.src : l.dst;
   return static_cast<int>(owner) % num_shards_;
-}
-
-void DistributedController::ConnCreate(AppId app, NodeId src, NodeId dst, uint64_t path_salt) {
-  // Account the shard traffic: the library contacts the shard owning the
-  // first port; each shard boundary along the path costs one forward (§5.4).
-  const std::vector<LinkId>& path = network_->router().Route(src, dst, path_salt);
-  if (!path.empty()) {
-    const int first_shard = ShardOfPort(path.front());
-    dist_stats_.conn_setups_per_shard[static_cast<size_t>(first_shard)] += 1;
-    int prev = first_shard;
-    for (LinkId link : path) {
-      const int shard = ShardOfPort(link);
-      if (shard != prev) {
-        ++dist_stats_.cross_shard_messages;
-        prev = shard;
-      }
-    }
-  }
-  CentralizedController::ConnCreate(app, src, dst, path_salt);
 }
 
 }  // namespace saba

@@ -14,8 +14,7 @@
 // (Eq-2 cache, queue-map memo, scratch). A flush batches the dirty-port
 // delta stream per shard and dispatches one task per dirty shard across a
 // saba::WorkerPool (`shard_jobs` workers); small batches fall back to the
-// caller thread. Connection setups are additionally accounted to the shard
-// owning their first switch, one forward per shard boundary crossed (§5.4).
+// caller thread.
 //
 // Determinism (DESIGN.md §7.3): shards own disjoint ports and write only
 // their own context, their ports' PortConfig, and their ports' pre-created
@@ -26,8 +25,8 @@
 // state for identical mixes, with no cross-shard cache coherence. Neither
 // num_shards nor shard_jobs can change any programmed rate, queue map, or
 // merged stats counter (tests/sharded_flush_test.cc enforces this against
-// the centralized oracle under churn). Only the eq2 hit/miss *split* and the
-// explicitly per-shard counters depend on num_shards; their totals do not.
+// the centralized oracle under churn). Only the eq2 hit/miss *split* and
+// `parallel_flushes` depend on num_shards; the hit/miss totals do not.
 
 #ifndef SRC_CORE_DISTRIBUTED_CONTROLLER_H_
 #define SRC_CORE_DISTRIBUTED_CONTROLLER_H_
@@ -74,11 +73,6 @@ struct DistributedControllerOptions {
 };
 
 struct DistributedControllerStats {
-  // Connection setups handled per shard (first-hop ownership). Sized
-  // num_shards, so inherently shard-count-specific; the sum is not.
-  std::vector<uint64_t> conn_setups_per_shard;
-  // Shard-to-shard forwarding messages (path crossed a shard boundary).
-  uint64_t cross_shard_messages = 0;
   // Flush accounting. `flushes` and `ports_flushed` are invariant across
   // both num_shards and shard_jobs; `parallel_flushes` counts batches
   // dispatched to the worker pool — a deterministic function of the delta
@@ -99,7 +93,6 @@ class DistributedController : public CentralizedController {
   // runtime (that is exactly the §5.4 trade-off).
   int AppRegister(AppId app, const std::string& workload_name) override;
   void AppDeregister(AppId app) override;
-  void ConnCreate(AppId app, NodeId src, NodeId dst, uint64_t path_salt) override;
 
   const DistributedControllerStats& distributed_stats() const { return dist_stats_; }
 

@@ -10,26 +10,18 @@ SabaClient::SabaClient(ControllerInterface* controller) : controller_(controller
 
 int SabaClient::OnAppStart(AppId app, const std::string& workload_name,
                            const std::vector<NodeId>&) {
-  ++stats_.rpc_calls;
   return controller_->AppRegister(app, workload_name);
 }
 
 void SabaClient::OnConnectionOpen(AppId app, NodeId src, NodeId dst, uint64_t path_salt) {
-  ++stats_.rpc_calls;
-  ++stats_.connections_opened;
   controller_->ConnCreate(app, src, dst, path_salt);
 }
 
 void SabaClient::OnConnectionClose(AppId app, NodeId src, NodeId dst, uint64_t path_salt) {
-  ++stats_.rpc_calls;
-  ++stats_.connections_closed;
   controller_->ConnDestroy(app, src, dst, path_salt);
 }
 
-void SabaClient::OnAppFinish(AppId app) {
-  ++stats_.rpc_calls;
-  controller_->AppDeregister(app);
-}
+void SabaClient::OnAppFinish(AppId app) { controller_->AppDeregister(app); }
 
 int SabaClient::ServiceLevelFor(AppId app) const { return controller_->CurrentServiceLevel(app); }
 

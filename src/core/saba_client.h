@@ -15,15 +15,6 @@
 
 namespace saba {
 
-// Bookkeeping for the control-plane traffic the shim generates; the paper
-// argues this overhead is negligible, and these counters let the benches
-// report it.
-struct SabaClientStats {
-  uint64_t rpc_calls = 0;
-  uint64_t connections_opened = 0;
-  uint64_t connections_closed = 0;
-};
-
 class SabaClient : public AppNetworkPolicy {
  public:
   explicit SabaClient(ControllerInterface* controller);
@@ -36,11 +27,8 @@ class SabaClient : public AppNetworkPolicy {
   void OnAppFinish(AppId app) override;
   int ServiceLevelFor(AppId app) const override;
 
-  const SabaClientStats& stats() const { return stats_; }
-
  private:
   ControllerInterface* controller_;
-  SabaClientStats stats_;
 };
 
 }  // namespace saba

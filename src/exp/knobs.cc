@@ -1,7 +1,5 @@
 #include "src/exp/knobs.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -69,17 +67,12 @@ uint64_t EnvSeed(uint64_t fallback) {
     RecordKnob("SABA_SEED", std::to_string(fallback), /*from_env=*/false);
     return fallback;
   }
-  // Accept the full uint64 range (seeds are opaque bit patterns, not counts).
-  std::string text(value);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || text[0] == '-' || std::isspace(static_cast<unsigned char>(text[0])) ||
-      errno == ERANGE || end != text.c_str() + text.size()) {
+  const std::optional<uint64_t> parsed = ParseUint64(value);
+  if (!parsed.has_value()) {
     DieInvalidKnob("SABA_SEED", value);
   }
   RecordKnob("SABA_SEED", value, /*from_env=*/true);
-  return static_cast<uint64_t>(parsed);
+  return *parsed;
 }
 
 int EnvJobs() {

@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <string>
 
-#include "src/sim/parse.h"  // ParseInt64, which the knobs and their callers use.
+#include "src/sim/parse.h"  // ParseInt64 and ParseUint64, which the knobs and their callers use.
 
 namespace saba {
 

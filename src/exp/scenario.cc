@@ -43,6 +43,16 @@ std::optional<int> ParseIntValue(const std::string& text) {
 constexpr double kMaxStartSeconds = 1e9;
 constexpr double kMaxDatasetScale = 1e6;
 
+// Bounds on the congestion and capacity fields, also far outside real use
+// (gamma 0-0.4, 20-56 Gb/s links, degrade factors 0.4-0.5). They reject the
+// magnitudes at which rates round to 0 b/s and jobs never finish: gamma 1e12
+// floors a shared queue's FECN efficiency, and a 1 b/s link floors every
+// flow's integer share. A slow link that carries enough flows still floors
+// them; the bounds do not prevent that.
+constexpr double kMaxFecnGamma = 10;
+constexpr double kMinCapacityGbps = 0.001;
+constexpr double kMinDegradeFactor = 0.001;
+
 std::optional<PolicyKind> PolicyFromName(const std::string& name) {
   static const std::map<std::string, PolicyKind> kPolicies = {
       {"baseline", PolicyKind::kBaseline},
@@ -99,10 +109,11 @@ std::optional<Topology> BuildTopologyLine(const std::string& kind,
   auto gbps = [&kv](const std::string& key, double fallback) {
     return kv.count(key) > 0 ? *ParseDoubleField(kv.at(key)) : fallback;
   };
-  const Bps64 capacity = Gbps64(gbps("capacity_gbps", 56.0));
-  if (capacity <= 0) {
-    return reject("capacity_gbps must be positive");
+  const double capacity_gbps = gbps("capacity_gbps", 56.0);
+  if (capacity_gbps < kMinCapacityGbps) {
+    return reject("capacity_gbps must be at least 0.001");
   }
+  const Bps64 capacity = Gbps64(capacity_gbps);
 
   if (kind == "star") {
     const int servers = count("servers", 32);
@@ -150,12 +161,13 @@ std::optional<Topology> BuildTopologyLine(const std::string& kind,
     FatTreeParams params;
     params.k = count("k", 4);
     params.host_link_bps = params.edge_agg_bps = capacity;
-    params.agg_core_bps = kv.count("core_gbps") > 0 ? Gbps64(gbps("core_gbps", 0)) : capacity;
+    const double core_gbps = gbps("core_gbps", capacity_gbps);
+    params.agg_core_bps = Gbps64(core_gbps);
     if (params.k < 2 || params.k % 2 != 0) {
       return reject("fattree needs an even k >= 2");
     }
-    if (params.agg_core_bps <= 0) {
-      return reject("fattree core_gbps must be positive");
+    if (core_gbps < kMinCapacityGbps) {
+      return reject("fattree core_gbps must be at least 0.001");
     }
     const double k = params.k;
     if (!IdsFit(k * k * k / 4 + 5 * k * k / 4, 3 * k * k * k / 4)) {
@@ -228,18 +240,18 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
       }
       scenario.options.policy = *policy;
     } else if (directive == "seed") {
-      const std::optional<int> seed = rest.size() == 1 ? ParseIntValue(rest[0]) : std::nullopt;
-      if (!seed.has_value() || *seed < 0) {
+      const std::optional<uint64_t> seed = rest.size() == 1 ? ParseUint64(rest[0]) : std::nullopt;
+      if (!seed.has_value()) {
         Fail(error, line_number, "seed needs one non-negative integer");
         return std::nullopt;
       }
-      scenario.seed = static_cast<uint64_t>(*seed);
+      scenario.seed = *seed;
       scenario.options.seed = scenario.seed;
     } else if (directive == "gamma") {
       const std::optional<double> gamma =
           rest.size() == 1 ? ParseDoubleField(rest[0]) : std::nullopt;
-      if (!gamma.has_value() || *gamma < 0) {
-        Fail(error, line_number, "gamma needs one non-negative number");
+      if (!gamma.has_value() || *gamma < 0 || *gamma > kMaxFecnGamma) {
+        Fail(error, line_number, "gamma needs one number in [0, 10]");
         return std::nullopt;
       }
       scenario.options.fecn_gamma = *gamma;
@@ -378,8 +390,9 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
         return std::nullopt;
       }
       if (event.kind == FailureEvent::Kind::kLinkDegrade &&
-          (!have_factor || event.capacity_factor <= 0 || event.capacity_factor > 1)) {
-        Fail(error, line_number, "degrade needs factor= in (0, 1]");
+          (!have_factor || event.capacity_factor < kMinDegradeFactor ||
+           event.capacity_factor > 1)) {
+        Fail(error, line_number, "degrade needs factor= in [0.001, 1]");
         return std::nullopt;
       }
       pending_failures.emplace_back(line_number, event);

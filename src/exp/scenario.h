@@ -20,8 +20,10 @@
 // `spineleaf spine=S leaf=L tor=T hosts_per_tor=H pods=P capacity_gbps=C`, or
 // `fattree k=K capacity_gbps=C core_gbps=C2` (core_gbps defaults to
 // capacity_gbps; lower it for an oversubscribed core). Counts are integers,
-// capacities positive; every spine-leaf pod needs a ToR and a leaf, more than
-// one pod needs a spine, and node and link ids must fit 32 bits.
+// capacities at least 0.001 Gb/s; every spine-leaf pod needs a ToR and a
+// leaf, more than one pod needs a spine, and node and link ids must fit 32
+// bits. The FECN `gamma` is in [0, 10]; `seed` takes any unsigned 64-bit
+// value.
 // Policies: baseline, saba, saba-distributed, saba-unlimited, ideal-max-min,
 // homa (needs queues >= 2), sincronia, pfabric. Jobs reference catalog
 // workload names; `nodes`, `dataset` (scale factor) and `start` (seconds) are
@@ -31,7 +33,7 @@
 // Failure directives inject mid-run faults (see FailureEvent in corun.h):
 // `fail link` takes a duplex endpoint pair down at `at` (restored at `until`
 // if given), `fail switch` takes a whole switch down, and `degrade link`
-// scales the pair's capacity by `factor` in (0, 1]. Node ids and link
+// scales the pair's capacity by `factor` in [0.001, 1]. Node ids and link
 // existence are validated against the scenario's topology, so failure lines
 // may appear before or after the topology line.
 //

@@ -1,13 +1,12 @@
 #include "src/net/topology.h"
 
 #include <cassert>
-#include <utility>
 
 namespace saba {
 
-NodeId Topology::AddNode(NodeKind kind, std::string label) {
+NodeId Topology::AddNode(NodeKind kind) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back({kind, std::move(label)});
+  nodes_.push_back({kind});
   out_links_.emplace_back();
   return id;
 }
@@ -88,9 +87,9 @@ Topology BuildSingleSwitchStar(int num_hosts, Bps64 link_capacity_bps) {
   std::vector<NodeId> hosts;
   hosts.reserve(static_cast<size_t>(num_hosts));
   for (int h = 0; h < num_hosts; ++h) {
-    hosts.push_back(topo.AddNode(NodeKind::kHost, "host" + std::to_string(h)));
+    hosts.push_back(topo.AddNode(NodeKind::kHost));
   }
-  const NodeId sw = topo.AddNode(NodeKind::kSwitch, "switch");
+  const NodeId sw = topo.AddNode(NodeKind::kSwitch);
   for (NodeId h : hosts) {
     topo.AddDuplexLink(h, sw, link_capacity_bps);
   }
@@ -105,22 +104,22 @@ Topology BuildSpineLeaf(const SpineLeafParams& p) {
 
   const int num_hosts = p.num_tor * p.hosts_per_tor;
   for (int h = 0; h < num_hosts; ++h) {
-    topo.AddNode(NodeKind::kHost, "host" + std::to_string(h));
+    topo.AddNode(NodeKind::kHost);
   }
   std::vector<NodeId> tors;
   tors.reserve(static_cast<size_t>(p.num_tor));
   for (int t = 0; t < p.num_tor; ++t) {
-    tors.push_back(topo.AddNode(NodeKind::kTorSwitch, "tor" + std::to_string(t)));
+    tors.push_back(topo.AddNode(NodeKind::kTorSwitch));
   }
   std::vector<NodeId> leaves;
   leaves.reserve(static_cast<size_t>(p.num_leaf));
   for (int l = 0; l < p.num_leaf; ++l) {
-    leaves.push_back(topo.AddNode(NodeKind::kLeafSwitch, "leaf" + std::to_string(l)));
+    leaves.push_back(topo.AddNode(NodeKind::kLeafSwitch));
   }
   std::vector<NodeId> spines;
   spines.reserve(static_cast<size_t>(p.num_spine));
   for (int s = 0; s < p.num_spine; ++s) {
-    spines.push_back(topo.AddNode(NodeKind::kSpineSwitch, "spine" + std::to_string(s)));
+    spines.push_back(topo.AddNode(NodeKind::kSpineSwitch));
   }
 
   // Hosts to their ToR.
@@ -157,22 +156,22 @@ Topology BuildFatTree(const FatTreeParams& p) {
   Topology topo;
 
   for (int h = 0; h < num_hosts; ++h) {
-    topo.AddNode(NodeKind::kHost, "host" + std::to_string(h));
+    topo.AddNode(NodeKind::kHost);
   }
   std::vector<NodeId> edges;
   edges.reserve(static_cast<size_t>(switches_per_tier));
   for (int e = 0; e < switches_per_tier; ++e) {
-    edges.push_back(topo.AddNode(NodeKind::kTorSwitch, "edge" + std::to_string(e)));
+    edges.push_back(topo.AddNode(NodeKind::kTorSwitch));
   }
   std::vector<NodeId> aggs;
   aggs.reserve(static_cast<size_t>(switches_per_tier));
   for (int a = 0; a < switches_per_tier; ++a) {
-    aggs.push_back(topo.AddNode(NodeKind::kLeafSwitch, "agg" + std::to_string(a)));
+    aggs.push_back(topo.AddNode(NodeKind::kLeafSwitch));
   }
   std::vector<NodeId> cores;
   cores.reserve(static_cast<size_t>(half * half));
   for (int c = 0; c < half * half; ++c) {
-    cores.push_back(topo.AddNode(NodeKind::kSpineSwitch, "core" + std::to_string(c)));
+    cores.push_back(topo.AddNode(NodeKind::kSpineSwitch));
   }
 
   // Host h sits under edge switch h / (k/2).

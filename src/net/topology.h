@@ -18,8 +18,8 @@
 #ifndef SRC_NET_TOPOLOGY_H_
 #define SRC_NET_TOPOLOGY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/net/units.h"
@@ -44,7 +44,6 @@ inline bool IsSwitch(NodeKind kind) { return kind != NodeKind::kHost; }
 
 struct Node {
   NodeKind kind = NodeKind::kHost;
-  std::string label;
   // Failure flag: a down node takes all its incident links out of service
   // (LinkUsable) without forgetting any capacity or shape.
   bool up = true;
@@ -64,7 +63,7 @@ class Topology {
  public:
   Topology() = default;
 
-  NodeId AddNode(NodeKind kind, std::string label = "");
+  NodeId AddNode(NodeKind kind);
 
   // Adds a single directed link and returns its id.
   LinkId AddLink(NodeId src, NodeId dst, Bps64 capacity_bps);

@@ -66,8 +66,6 @@ inline constexpr Bps64 Mbps64(double x) { return RoundBps(x * 1e6); }
 inline constexpr Bps64 Gbps64(double x) { return RoundBps(x * 1e9); }
 
 // Continuous-rate helpers (tolerances, expectations, fluid math).
-inline constexpr double Bps(double x) { return x; }
-inline constexpr double Kbps(double x) { return x * 1e3; }
 inline constexpr double Mbps(double x) { return x * 1e6; }
 inline constexpr double Gbps(double x) { return x * 1e9; }
 

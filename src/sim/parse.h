@@ -17,6 +17,11 @@ namespace saba {
 // whitespace rejected). nullopt on empty, trailing junk, or overflow.
 std::optional<int64_t> ParseInt64(const std::string& text);
 
+// Base-10 parse of the full uint64 range (seeds are opaque bit patterns, not
+// counts). The whole string must be digits: a sign or surrounding whitespace
+// is rejected. nullopt on empty, trailing junk, or overflow.
+std::optional<uint64_t> ParseUint64(const std::string& text);
+
 // Floating-point parse that consumes the whole string (surrounding
 // whitespace rejected). nullopt on empty, trailing junk, out-of-range
 // (1e999) and non-finite (nan, inf) values.

@@ -102,8 +102,6 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
   return weights.size() - 1;  // Guard against accumulated rounding.
 }
 
-Rng Rng::Fork() { return Rng(Next() ^ 0xda3e39cb94b95bdbULL); }
-
 uint64_t Rng::StreamSeed(uint64_t root_seed, uint64_t stream_index) {
   // Hash the root before mixing in the index so that nearby roots do not
   // produce shifted copies of the same stream family, then hash again so

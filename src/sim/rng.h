@@ -17,8 +17,8 @@
 namespace saba {
 
 // Deterministic PRNG with convenience distributions. Not thread-safe; give
-// each thread (or each experiment repetition) its own instance, forked via
-// Fork() so streams are independent.
+// each thread (or each experiment repetition) its own instance from
+// ForStream() so streams are independent.
 class Rng {
  public:
   explicit Rng(uint64_t seed);
@@ -64,10 +64,6 @@ class Rng {
     assert(!v.empty());
     return v[static_cast<size_t>(UniformInt(0, static_cast<int64_t>(v.size()) - 1))];
   }
-
-  // Returns a new generator whose stream is independent of this one.
-  // Successive Fork() calls yield distinct streams.
-  Rng Fork();
 
   // Seed of stream `stream_index` under `root_seed`: both words are pushed
   // through SplitMix64, so adjacent indices yield uncorrelated seeds. This is

@@ -8,9 +8,6 @@
 namespace saba {
 namespace {
 
-// Stable per-connection salt so a connection always takes the same ECMP path
-// (like a real transport connection) and the router path cache stays warm
-// across stages.
 // Number of chunks the overlapped shuffle is paced into across the compute
 // phase. More chunks track the "produce as you compute" behaviour more
 // closely; 3 is plenty at fluid granularity.
@@ -21,6 +18,9 @@ constexpr int kOverlapChunks = 3;
 // soaks up capacity nobody else wants.
 constexpr double kElasticIntraWeight = 0.15;
 
+// Stable per-connection salt so a connection always takes the same ECMP path
+// (like a real transport connection) and the router path cache stays warm
+// across stages.
 uint64_t ConnectionSalt(AppId app, int instance, int peer_slot) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32) |
          (static_cast<uint64_t>(static_cast<uint32_t>(instance)) << 8) |
@@ -106,7 +106,6 @@ void Application::BeginStage() {
   }
   const StageSpec& stage = spec_.stages[static_cast<size_t>(stage_)];
   compute_done_ = false;
-  sequential_part_started_ = false;
   outstanding_flows_ = 0;
   pending_overlap_chunks_ = 0;
   if (stage.bits_per_peer > 0 || stage.elastic_bits_per_peer > 0) {
@@ -127,9 +126,6 @@ void Application::BeginStage() {
       const double at = stage.compute_seconds * static_cast<double>(i) / chunks;
       const int expected_stage = stage_;
       scheduler_->ScheduleAfter(at, [this, expected_stage, fraction, elastic_fraction] {
-        if (finished_) {
-          return;  // Aborted while the chunk was pending.
-        }
         assert(stage_ == expected_stage && "stage advanced past a pending chunk");
         (void)expected_stage;
         StartOverlapChunk(fraction, elastic_fraction);
@@ -139,11 +135,7 @@ void Application::BeginStage() {
 
   if (stage.compute_seconds > 0) {
     computing_ = true;
-    scheduler_->ScheduleAfter(stage.compute_seconds, [this] {
-      if (!finished_) {
-        OnComputeDone();
-      }
-    });
+    scheduler_->ScheduleAfter(stage.compute_seconds, [this] { OnComputeDone(); });
   } else {
     OnComputeDone();
   }
@@ -188,30 +180,6 @@ void Application::AbandonElasticFlows() {
   elastic_flows_.clear();
 }
 
-void Application::AbandonCriticalFlows() {
-  for (FlowId id : critical_flows_) {
-    flow_sim_->CancelFlow(id);
-  }
-  critical_flows_.clear();
-  outstanding_flows_ = 0;
-}
-
-void Application::Abort() {
-  if (!started_ || finished_) {
-    return;
-  }
-  finished_ = true;
-  aborted_ = true;
-  finish_time_ = scheduler_->Now();
-  computing_ = false;
-  // Park the stage index past the end so any pending compute or chunk events
-  // become no-ops (they assert on the stage; mark them disarmed instead).
-  AbandonElasticFlows();
-  AbandonCriticalFlows();
-  CloseStageConnections();
-  policy_->OnAppFinish(id_);
-}
-
 void Application::OnComputeDone() {
   computing_ = false;
   compute_done_ = true;
@@ -220,7 +188,6 @@ void Application::OnComputeDone() {
   if (sequential_fraction > 0 && stage.bits_per_peer > 0) {
     StartStageFlows(sequential_fraction);
   }
-  sequential_part_started_ = true;
   MaybeFinishStage();
 }
 
@@ -246,13 +213,9 @@ void Application::StartStageFlows(double fraction) {
     for (int k = 1; k <= fanout; ++k) {
       const int peer = (i + k) % n;
       ++outstanding_flows_;
-      const FlowId id = flow_sim_->StartFlow(
-          id_, hosts_[static_cast<size_t>(i)], hosts_[static_cast<size_t>(peer)], bits, sl_,
-          ConnectionSalt(id_, i, k), [this](FlowId done) {
-            std::erase(critical_flows_, done);
-            OnStageFlowDone();
-          });
-      critical_flows_.push_back(id);
+      flow_sim_->StartFlow(id_, hosts_[static_cast<size_t>(i)], hosts_[static_cast<size_t>(peer)],
+                           bits, sl_, ConnectionSalt(id_, i, k),
+                           [this](FlowId) { OnStageFlowDone(); });
     }
   }
 }
@@ -264,8 +227,7 @@ void Application::OnStageFlowDone() {
 }
 
 void Application::MaybeFinishStage() {
-  if (compute_done_ && sequential_part_started_ && pending_overlap_chunks_ == 0 &&
-      outstanding_flows_ == 0) {
+  if (compute_done_ && pending_overlap_chunks_ == 0 && outstanding_flows_ == 0) {
     // Stale prefetches do not cross the stage barrier, and the stage's
     // connections are released so the controller can re-allocate their ports.
     AbandonElasticFlows();

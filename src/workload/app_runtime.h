@@ -78,18 +78,12 @@ class Application {
   // job completion time (finish - start), the paper's performance metric.
   void Start(DoneCallback on_done);
 
-  // Aborts a running job (failure injection / preemption): cancels all of
-  // its in-flight flows, closes its connections, and deregisters it with the
-  // policy. The done callback does NOT fire. Idempotent; no-op once finished.
-  void Abort();
-
   AppId id() const { return id_; }
   const std::string& workload_name() const { return spec_.name; }
   const std::vector<NodeId>& hosts() const { return hosts_; }
 
   bool started() const { return started_; }
   bool finished() const { return finished_; }
-  bool aborted() const { return aborted_; }
   SimTime start_time() const { return start_time_; }
   SimTime finish_time() const { return finish_time_; }
   // Completion time so far (finish - start); only valid once finished.
@@ -113,7 +107,6 @@ class Application {
   void StartStageFlows(double fraction);
   void StartElasticFlows(double fraction);
   void AbandonElasticFlows();
-  void AbandonCriticalFlows();
   void Finish();
 
   EventScheduler* scheduler_;
@@ -128,17 +121,13 @@ class Application {
   int stage_ = -1;
   bool started_ = false;
   bool finished_ = false;
-  bool aborted_ = false;
   bool computing_ = false;
   bool compute_done_ = false;
-  bool sequential_part_started_ = false;
   int outstanding_flows_ = 0;
   int pending_overlap_chunks_ = 0;
   bool connections_open_ = false;
   // In-flight non-critical flows; cancelled at the stage barrier.
   std::vector<FlowId> elastic_flows_;
-  // In-flight critical flows of the current stage (for Abort()).
-  std::vector<FlowId> critical_flows_;
   SimTime start_time_ = 0;
   SimTime finish_time_ = 0;
 };

@@ -216,21 +216,6 @@ TEST_F(ControllerTest, NonSabaTrafficKeepsItsReservedShare) {
   EXPECT_NEAR(flow_sim_.FlowRate(rpc), Gbps(56) * 0.25, Gbps(1.5));
 }
 
-TEST_F(ControllerTest, ControlPlaneLatencyDelaysReconfiguration) {
-  ControllerOptions options;
-  options.control_plane_latency_seconds = 0.5;
-  CentralizedController controller(&network_, &flow_sim_, &table_, options);
-  controller.AppRegister(1, "steep");
-  controller.ConnCreate(1, 0, 1, 0);
-  const LinkId first_hop = network_.topology().FindLink(0, 4);
-  // Not yet applied...
-  scheduler_.RunUntil(0.25);
-  EXPECT_DOUBLE_EQ(controller.AppWeightAtPort(first_hop, 1), 0);
-  // ...but visible after the control-plane delay.
-  scheduler_.RunUntil(0.75);
-  EXPECT_GT(controller.AppWeightAtPort(first_hop, 1), 0);
-}
-
 TEST_F(ControllerTest, OfflineModeWorksWithoutFlowSimulator) {
   CentralizedController controller(&network_, /*flow_sim=*/nullptr, &table_, {});
   controller.AppRegister(1, "steep");

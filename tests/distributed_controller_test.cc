@@ -141,24 +141,6 @@ TEST_F(DistributedControllerTest, SameWorkloadAlwaysSamePl) {
   EXPECT_EQ(a, b);
 }
 
-TEST_F(DistributedControllerTest, ConnSetupCountsShardTraffic) {
-  const MappingDatabase db = MappingDatabase::Build(table_, 3, 1);
-  DistributedControllerOptions options;
-  options.num_shards = 4;
-  DistributedController controller(&network_, &flow_sim_, &table_, db, options);
-  controller.AppRegister(1, "steep");
-  // Host 0 (pod 0) to host 3 (pod 1): crosses ToR -> leaf -> spine -> ...,
-  // touching several shards.
-  controller.ConnCreate(1, 0, 3, 5);
-  Settle();
-  uint64_t total_setups = 0;
-  for (uint64_t n : controller.distributed_stats().conn_setups_per_shard) {
-    total_setups += n;
-  }
-  EXPECT_EQ(total_setups, 1u);
-  EXPECT_GT(controller.distributed_stats().cross_shard_messages, 0u);
-}
-
 TEST_F(DistributedControllerTest, PortWeightsMatchCentralizedMath) {
   // Eq 2 is per-port, so for a fixed app set at a port the distributed
   // controller solves the same problem as the centralized one.

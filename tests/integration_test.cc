@@ -63,21 +63,25 @@ SensitivityTable* SpineLeafIntegrationTest::table_ = nullptr;
 Topology* SpineLeafIntegrationTest::topo_ = nullptr;
 
 TEST_F(SpineLeafIntegrationTest, SabaPipelineRunsCleanOnFabric) {
-  CoRunOptions options;
-  options.policy = PolicyKind::kSaba;
-  options.table = table_;
-  const CoRunResult result = RunCoRun(*topo_, Jobs(), options);
+  for (const PolicyKind policy :
+       {PolicyKind::kSaba, PolicyKind::kSabaDistributed, PolicyKind::kSabaUnlimited}) {
+    SCOPED_TRACE(PolicyName(policy));
+    CoRunOptions options;
+    options.policy = policy;
+    options.table = table_;
+    const CoRunResult result = RunCoRun(*topo_, Jobs(), options);
 
-  for (double t : result.completion_seconds) {
-    EXPECT_GT(t, 0);
+    for (double t : result.completion_seconds) {
+      EXPECT_GT(t, 0);
+    }
+    const ControllerStats& stats = result.controller_stats;
+    EXPECT_EQ(stats.registrations, 6u);
+    EXPECT_EQ(stats.deregistrations, 6u);
+    // Per-stage connection lifecycle: every create has a matching destroy.
+    EXPECT_EQ(stats.conn_creates, stats.conn_destroys);
+    EXPECT_GT(stats.conn_creates, 0u);
+    EXPECT_GT(stats.port_reconfigurations, 0u);
   }
-  const ControllerStats& stats = result.controller_stats;
-  EXPECT_EQ(stats.registrations, 6u);
-  EXPECT_EQ(stats.deregistrations, 6u);
-  // Per-stage connection lifecycle: every create has a matching destroy.
-  EXPECT_EQ(stats.conn_creates, stats.conn_destroys);
-  EXPECT_GT(stats.conn_creates, 0u);
-  EXPECT_GT(stats.port_reconfigurations, 0u);
 }
 
 TEST_F(SpineLeafIntegrationTest, SabaAtLeastMatchesBaselineOnFabric) {

@@ -137,18 +137,5 @@ TEST(RngTest, ChoiceReturnsMember) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(31);
-  Rng forked = a.Fork();
-  // The fork and the parent should not produce the same sequence.
-  int equal = 0;
-  for (int i = 0; i < 50; ++i) {
-    if (a.Next() == forked.Next()) {
-      ++equal;
-    }
-  }
-  EXPECT_LT(equal, 2);
-}
-
 }  // namespace
 }  // namespace saba

@@ -70,18 +70,5 @@ TEST(SabaClientTest, ServiceLevelTracksControllerReclustering) {
   EXPECT_EQ(client.ServiceLevelFor(7), 5);
 }
 
-TEST(SabaClientTest, CountsControlPlaneTraffic) {
-  FakeController controller;
-  SabaClient client(&controller);
-  client.OnAppStart(1, "LR", {0, 1});
-  client.OnConnectionOpen(1, 0, 1, 0);
-  client.OnConnectionOpen(1, 1, 0, 1);
-  client.OnConnectionClose(1, 0, 1, 0);
-  client.OnAppFinish(1);
-  EXPECT_EQ(client.stats().rpc_calls, 5u);
-  EXPECT_EQ(client.stats().connections_opened, 2u);
-  EXPECT_EQ(client.stats().connections_closed, 1u);
-}
-
 }  // namespace
 }  // namespace saba

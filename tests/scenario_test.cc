@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "src/core/profiler.h"
 #include "src/workload/workload_catalog.h"
 
@@ -102,6 +106,18 @@ TEST(ScenarioParserTest, DefaultsWhenOmitted) {
   EXPECT_DOUBLE_EQ(scenario->jobs[0].dataset_scale, 1.0);
 }
 
+TEST(ScenarioParserTest, SeedTakesTheWholeUnsignedRange) {
+  for (const uint64_t seed : {uint64_t{2147483648}, std::numeric_limits<uint64_t>::max()}) {
+    const std::string text = "seed " + std::to_string(seed) + "\njob LR nodes=4\n";
+    std::string error;
+    const auto scenario = ParseScenario(text, &error);
+    ASSERT_TRUE(scenario.has_value()) << error;
+    EXPECT_EQ(scenario->seed, seed);
+    EXPECT_EQ(scenario->options.seed, seed);
+  }
+  EXPECT_FALSE(ParseScenario("seed -1\njob LR nodes=4\n").has_value());
+}
+
 struct BadCase {
   const char* name;
   const char* text;
@@ -165,7 +181,20 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"fractional_switch_id",
                 "topology fattree k=4\nfail switch id=16.9 at=1\njob LR nodes=4\n"},
         BadCase{"huge_node_id",
-                "topology fattree k=4\nfail link a=1e300 b=24 at=1\njob LR nodes=4\n"}),
+                "topology fattree k=4\nfail link a=1e300 b=24 at=1\njob LR nodes=4\n"},
+        // Rates that round to 0 b/s, so the jobs never finish.
+        BadCase{"huge_gamma",
+                "topology star servers=4\npolicy baseline\nseed 3\ngamma 1e12\n"
+                "job LR nodes=4\njob PR nodes=4\n"},
+        BadCase{"tiny_capacity",
+                "topology star servers=4 capacity_gbps=0.000000001\npolicy baseline\nseed 3\n"
+                "job LR nodes=4\n"},
+        BadCase{"tiny_core",
+                "topology fattree k=4 core_gbps=0.000000001\npolicy baseline\nseed 3\n"
+                "job LR nodes=8\njob PR nodes=8\n"},
+        BadCase{"tiny_degrade_factor",
+                "topology star servers=4\npolicy baseline\nseed 3\n"
+                "degrade link a=0 b=4 at=1 factor=0.000000000001\njob LR nodes=4\n"}),
     [](const ::testing::TestParamInfo<BadCase>& info) { return info.param.name; });
 
 TEST(ScenarioJobsTest, PlacementRespectsNodeCountsAndDistinctHosts) {

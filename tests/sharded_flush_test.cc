@@ -283,15 +283,6 @@ TEST(ShardedFlushTest, ShardAndWorkerCountsNeverChangeStateOrStats) {
     EXPECT_EQ(d.flushes, d0.flushes) << "shards " << u.num_shards << " jobs " << u.shard_jobs;
     EXPECT_EQ(d.ports_flushed, d0.ports_flushed)
         << "shards " << u.num_shards << " jobs " << u.shard_jobs;
-    // First-hop ownership is a partition of the same setups.
-    uint64_t setups = 0;
-    for (const uint64_t per_shard : d.conn_setups_per_shard) {
-      setups += per_shard;
-    }
-    EXPECT_EQ(setups, u.controller->stats().conn_creates);
-    if (u.num_shards == 1) {
-      EXPECT_EQ(d.cross_shard_messages, 0u);
-    }
     if (u.shard_jobs == 1) {
       EXPECT_EQ(d.parallel_flushes, 0u) << "serial flushes must never dispatch";
     }

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -166,6 +167,19 @@ TEST(KnobsTest, ParseInt64AcceptsWholeIntegersOnly) {
   EXPECT_FALSE(ParseInt64("42 ").has_value());
   EXPECT_FALSE(ParseInt64("1e3").has_value());      // The empty-sweep typo.
   EXPECT_FALSE(ParseInt64("99999999999999999999").has_value());  // Overflow.
+}
+
+TEST(KnobsTest, ParseUint64AcceptsTheWholeUnsignedRangeOnly) {
+  EXPECT_EQ(ParseUint64("0"), 0u);
+  EXPECT_EQ(ParseUint64("18446744073709551615"), std::numeric_limits<uint64_t>::max());
+  EXPECT_FALSE(ParseUint64("18446744073709551616").has_value());  // 2^64 overflows.
+  // strtoull takes a sign and reads "-1" as 2^64 - 1.
+  EXPECT_FALSE(ParseUint64("-1").has_value());
+  EXPECT_FALSE(ParseUint64("+1").has_value());
+  EXPECT_FALSE(ParseUint64("").has_value());
+  EXPECT_FALSE(ParseUint64(" 1").has_value());
+  EXPECT_FALSE(ParseUint64("1 ").has_value());
+  EXPECT_FALSE(ParseUint64("1x").has_value());
 }
 
 TEST(KnobsTest, MalformedKnobAbortsInsteadOfZero) {

@@ -10,8 +10,8 @@ namespace {
 
 TEST(TopologyTest, AddNodesAndLinks) {
   Topology topo;
-  const NodeId a = topo.AddNode(NodeKind::kHost, "a");
-  const NodeId b = topo.AddNode(NodeKind::kSwitch, "b");
+  const NodeId a = topo.AddNode(NodeKind::kHost);
+  const NodeId b = topo.AddNode(NodeKind::kSwitch);
   const LinkId l = topo.AddLink(a, b, Gbps64(10));
   EXPECT_EQ(topo.num_nodes(), 2u);
   EXPECT_EQ(topo.num_links(), 1u);
@@ -19,7 +19,7 @@ TEST(TopologyTest, AddNodesAndLinks) {
   EXPECT_EQ(topo.link(l).dst, b);
   EXPECT_DOUBLE_EQ(topo.link(l).capacity_bps, Gbps(10));
   EXPECT_EQ(topo.node(a).kind, NodeKind::kHost);
-  EXPECT_EQ(topo.node(b).label, "b");
+  EXPECT_EQ(topo.node(b).kind, NodeKind::kSwitch);
 }
 
 TEST(TopologyTest, DuplexLinkAddsBothDirections) {
