@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical pieces:
 // the WFQ fluid allocator (steady-state and incremental churn), the Eq-2
-// weight solver, clustering, and routing. These back the performance claims
-// in DESIGN.md (allocator cost linear-ish in flow count; closed-form solver
-// microseconds per port).
+// weight solver, clustering, routing, and Sincronia's BSSI order. These back
+// the performance claims in DESIGN.md (allocator cost linear-ish in flow
+// count; closed-form solver microseconds per port).
 //
 // Besides the console output, the run writes a machine-readable summary to
 // BENCH_micro.json (override the path with SABA_BENCH_JSON) so successive
@@ -12,12 +12,14 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/baselines/sincronia_policy.h"
 #include "src/core/controller.h"
 #include "src/core/distributed_controller.h"
 #include "src/core/pl_mapper.h"
@@ -562,6 +564,53 @@ void BM_RouterFreshTables(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(hosts.size() - 1));
 }
 BENCHMARK(BM_RouterFreshTables);
+
+// --- Sincronia's BSSI order ----------------------------------------------------
+
+// One BSSI order over a fig10-shaped input: 20 coflows of six flows each
+// between random hosts of the default spine-leaf, 682 (coflow, port) entries
+// over 672 ports, few of them shared. fig10 at 6 instances averages 9.1
+// coflows and 731 entries over 710 ports (20 shared) per call, so the order's
+// cost is mostly the per-position re-sum. Items are coflows ordered.
+void BM_BssiOrder(benchmark::State& state) {
+  constexpr int kCoflows = 20;
+  constexpr int kFlowsPerCoflow = 6;
+  const Topology topo = BuildSpineLeaf(SpineLeafParams{});
+  Router router(&topo);
+  Rng rng(41);
+  const std::vector<NodeId> hosts = topo.Hosts();
+  CoflowDemands demands;
+  std::map<LinkId, uint32_t> port_of_link;
+  for (AppId app = 0; app < kCoflows; ++app) {
+    std::map<LinkId, double> demand;
+    for (int f = 0; f < kFlowsPerCoflow; ++f) {
+      const NodeId src = rng.Choice(hosts);
+      NodeId dst = rng.Choice(hosts);
+      while (dst == src) {
+        dst = rng.Choice(hosts);
+      }
+      const double bits = Gigabytes(rng.Uniform(0.1, 2.0));
+      for (const LinkId link : router.Route(src, dst, rng.Next())) {
+        demand[link] += bits;
+      }
+    }
+    demands.app.push_back(app);
+    for (const auto& [link, bits] : demand) {
+      const auto [it, inserted] = port_of_link.emplace(link, demands.link.size());
+      if (inserted) {
+        demands.link.push_back(link);
+      }
+      demands.entry_port.push_back(it->second);
+      demands.entry_bits.push_back(bits);
+    }
+    demands.row_begin.push_back(static_cast<uint32_t>(demands.entry_bits.size()));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeBssiOrder(demands));
+  }
+  state.SetItemsProcessed(state.iterations() * kCoflows);
+}
+BENCHMARK(BM_BssiOrder);
 
 // --- Machine-readable output ---------------------------------------------------
 

@@ -53,8 +53,9 @@ class FlowSimulator {
   // Removes a flow before completion (no callback fires).
   void CancelFlow(FlowId id);
 
-  // Changes the strict-priority class of a flow (used by the Sincronia-like
-  // policy). Triggers reallocation.
+  // Changes the strict-priority class of a flow (used by the Homa-like and
+  // Sincronia-like policies). Triggers reallocation, also when called from
+  // the pre-allocate hook: see SetPreAllocateHook for the echo that causes.
   void SetFlowPriority(FlowId id, int priority);
 
   // Changes the SL of every active flow of an application (used when a
@@ -82,7 +83,13 @@ class FlowSimulator {
   void HandleTopologyChange();
 
   // Installed hook runs immediately before each allocator invocation — the
-  // Homa-like policy refreshes size-based priorities here.
+  // Homa-like policy refreshes size-based priorities here, the Sincronia-like
+  // policy its BSSI order. A priority the hook changes echoes: MarkDirty's
+  // event clears dirty_ before it calls Reallocate, so SetFlowPriority inside
+  // the hook schedules a second Reallocate at the same instant. That run
+  // re-syncs every flow, re-runs the hook and the completion scan, and
+  // usually solves nothing. Dropping it moves allocator_runs() and the
+  // engine counters, which the benchmark's digests pin.
   void SetPreAllocateHook(std::function<void()> hook) { pre_allocate_hook_ = std::move(hook); }
 
   // No-op kept only because perfbench/src/corun_cells.cc still calls it; the
