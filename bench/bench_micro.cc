@@ -110,9 +110,9 @@ BENCHMARK(BM_StrictPriorityAllocator)->Arg(1000)->Arg(5000)->Unit(benchmark::kMi
 // the dominant event shape at co-run scale.
 struct ChurnFixture {
   // `flows_per_rack` scales the per-component solve cost without changing the
-  // component structure: 8 matches the co-run-scale churn benches; larger
-  // values give the multi-component batch bench components heavy enough for
-  // fan-out to amortize its dispatch cost.
+  // component structure: 8 matches the co-run-scale churn benches; the
+  // full-recompute bench uses larger values to make each rack's component
+  // heavy.
   explicit ChurnFixture(int flows_per_rack = 8) : network(BuildSpineLeaf(params), 8) {
     network.SetCongestionModel(std::make_unique<FecnCongestionModel>(0.30));
     for (int sl = 0; sl < kNumServiceLevels; ++sl) {
@@ -215,9 +215,10 @@ void BM_ChurnFullRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ChurnFullRebuild)->Unit(benchmark::kMicrosecond);
 
-// The full-recompute path: InvalidateAll makes every component dirty, so the
-// following Recompute solves the whole fixture as one batch. The dense
-// fixture (48 flows/rack) makes each rack one heavy component.
+// The full-recompute path: InvalidateAll makes the following Recompute re-key
+// every flow from the port configuration and solve every component, one
+// after another. The dense fixture (48 flows/rack) makes each rack one heavy
+// component.
 void BM_ComponentBatchSolve(benchmark::State& state) {
   ChurnFixture fixture(/*flows_per_rack=*/48);
   AllocationEngine engine(&fixture.network, AllocationDiscipline::kWfqSlQueues);
@@ -236,6 +237,63 @@ void BM_ComponentBatchSolve(benchmark::State& state) {
                          static_cast<double>(engine.stats().recomputes));
 }
 BENCHMARK(BM_ComponentBatchSolve)->Unit(benchmark::kMicrosecond);
+
+// --- Star testbed: every event re-solves one component ------------------------
+
+// The event shape of fig8's testbed: 32 hosts on one 56 Gb/s switch, FECN
+// gamma 0.30, 8 queues with unequal weights, and 600 flows of 16 apps over 8
+// SLs between random host pairs. Every host sends and receives, so all flows
+// form one link-sharing component and each event re-solves all of them. An
+// iteration is one completion and one arrival (the same flow leaves and
+// rejoins) and the Recompute() after them; items are iterations.
+void BM_StarReallocate(benchmark::State& state) {
+  constexpr int kFlows = 600;
+  Network network(BuildSingleSwitchStar(32, Gbps64(56)), 8);
+  network.SetCongestionModel(std::make_unique<FecnCongestionModel>(0.30));
+  for (int sl = 0; sl < kNumServiceLevels; ++sl) {
+    network.MapSlToQueueEverywhere(sl, sl % 8);
+  }
+  for (size_t l = 0; l < network.topology().num_links(); ++l) {
+    std::vector<double>& weights = network.port(static_cast<LinkId>(l)).queue_weights;
+    for (size_t q = 0; q < weights.size(); ++q) {
+      weights[q] = 1.0 + static_cast<double>(q);
+    }
+  }
+  const std::vector<NodeId> hosts = network.topology().Hosts();
+  Rng rng(43);
+  std::vector<std::unique_ptr<ActiveFlow>> flows;
+  AllocationEngine engine(&network, AllocationDiscipline::kWfqSlQueues);
+  for (int f = 0; f < kFlows; ++f) {
+    auto flow = std::make_unique<ActiveFlow>();
+    flow->id = f + 1;
+    flow->app = static_cast<AppId>(f % 16);
+    flow->sl = flow->app % 8;
+    flow->remaining_bits = Gigabytes(1);
+    const NodeId src = rng.Choice(hosts);
+    NodeId dst = rng.Choice(hosts);
+    while (dst == src) {
+      dst = rng.Choice(hosts);
+    }
+    flow->path = &network.router().Route(src, dst, static_cast<uint64_t>(f));
+    engine.FlowAdded(flow.get());
+    flows.push_back(std::move(flow));
+  }
+  engine.Recompute();
+  size_t next = 0;
+  for (auto _ : state) {
+    ActiveFlow* flow = flows[next].get();
+    next = (next + 1) % flows.size();
+    engine.FlowRemoved(flow);
+    engine.FlowAdded(flow);
+    engine.Recompute();
+    benchmark::DoNotOptimize(flow->rate);
+  }
+  state.SetItemsProcessed(state.iterations());
+  const AllocationEngineStats& stats = engine.stats();
+  state.counters["flows_rerated_per_event"] = benchmark::Counter(
+      static_cast<double>(stats.flows_rerated) / static_cast<double>(stats.recomputes));
+}
+BENCHMARK(BM_StarReallocate)->Unit(benchmark::kMicrosecond);
 
 // --- Eq 2 weight solver vs application count ---------------------------------
 

@@ -20,9 +20,12 @@ namespace saba {
 // those resources (each flow has ONE scalar weight — its intra weight — so
 // the filling is exact weighted max-min over the resources), and then
 // redistribute the capacity that under-demanding queues left unused to the
-// queues that were actually constrained, iterating toward the
-// work-conserving fixed point. A few rounds suffice: each round either finds
-// no slack or strictly grows some binding queue's capacity.
+// queues that were actually constrained. The loop stops after at most
+// kMaxRounds = 4 fills, or earlier once no binding queue gains more than
+// floor dust. It does not reach the work-conserving fixed point: most
+// multi-queue components hit the cap with slack above FloorDust still on
+// some link, so their allocation is not work-conserving (ROADMAP.md, "Exact
+// nested-WFQ fill", measures the gap and replaces the rounds).
 //
 // All of it is fixed-point integer arithmetic (units.h): capacities and rates
 // are Bps64, weights live on the WeightUnits grid, water levels are exact
@@ -382,11 +385,11 @@ void SolveNestedWfqInt(const std::vector<ActiveFlow*>& flows, size_t num_resourc
       break;  // This fill stands.
     }
 
-    // Work conservation: re-home each link's unused capacity to the queues
-    // that were actually constrained there ("binding"), in weight proportion.
-    // Slack re-enters scaled by the receiving queue's own efficiency — WRR
-    // can only hand out what the (imperfect) protocol can carry. Every
-    // aggregate here is a commutative integer sum of per-resource values.
+    // Re-home each link's unused capacity to the queues that were actually
+    // constrained there ("binding"), in weight proportion. Slack re-enters
+    // scaled by the receiving queue's own efficiency — WRR can only hand out
+    // what the (imperfect) protocol can carry. Every aggregate here is a
+    // commutative integer sum of per-resource values.
     bool changed = false;
     for (size_t ls = 0; ls < num_link_slots; ++ls) {
       Bps64 wire_used = 0;
@@ -428,9 +431,28 @@ void SolveNestedWfqInt(const std::vector<ActiveFlow*>& flows, size_t num_resourc
   }
 }
 
+// Single-flow component under a nested discipline: the flow owns every queue
+// it crosses (weight ratios are exactly 1.0), so its rate is the minimum over
+// path links of the efficiency-degraded link capacity. Bit-identical to the
+// general path, which would compute the same RoundBps per link and freeze at
+// the floor of share/weight = capacity.
+void SolveSingleFlowNested(ActiveFlow* flow, const Network& net) {
+  assert(flow->path != nullptr && !flow->path->empty());
+  assert(flow->remaining_bits > 0);
+  assert(flow->intra_weight > 0);
+  const double eff = net.congestion().QueueEfficiency(1);
+  Bps64 rate = kBps64Max;
+  for (const LinkId l : *flow->path) {
+    rate = std::min(rate, RoundBps(BpsToDouble(net.topology().link(l).capacity_bps) * eff));
+  }
+  flow->rate = rate;
+}
+
 // Nested WFQ over one component: `queue_key(flow, link)` identifies the
 // flow's queue at a port, `queue_weight(flow, link)` its weight. Flows may
-// arrive in ANY order — the solve is a function of the flow multiset.
+// arrive in ANY order — the solve is a function of the flow multiset. This
+// is the from-scratch build behind AllocateFromScratch; the engine fills the
+// same arrays from its kept state (AllocationEngine::SolveKeptComponent).
 template <typename QueueKeyFn, typename QueueWeightFn>
 void SolveComponentNested(const std::vector<ActiveFlow*>& flows, const Network& net,
                           QueueKeyFn queue_key, QueueWeightFn queue_weight,
@@ -441,21 +463,7 @@ void SolveComponentNested(const std::vector<ActiveFlow*>& flows, const Network& 
   const size_t n = flows.size();
 
   if (n == 1) {
-    // Single-flow component: the flow owns every queue it crosses (weight
-    // ratios are exactly 1.0), so its rate is the minimum over path links of
-    // the efficiency-degraded link capacity. Bit-identical to the general
-    // path, which would compute the same RoundBps per link and freeze at the
-    // floor of share/weight = capacity.
-    ActiveFlow* flow = flows[0];
-    assert(flow->path != nullptr && !flow->path->empty());
-    assert(flow->remaining_bits > 0);
-    assert(flow->intra_weight > 0);
-    const double eff = net.congestion().QueueEfficiency(1);
-    Bps64 rate = kBps64Max;
-    for (const LinkId l : *flow->path) {
-      rate = std::min(rate, RoundBps(BpsToDouble(net.topology().link(l).capacity_bps) * eff));
-    }
-    flow->rate = rate;
+    SolveSingleFlowNested(flows[0], net);
     return;
   }
 
@@ -776,7 +784,7 @@ AllocationEngine::AllocationEngine(const Network* net, AllocationDiscipline disc
       scratch_(std::make_unique<ComponentScratch>()) {
   assert(net != nullptr);
   const size_t num_links = net->topology().num_links();
-  link_flows_.resize(num_links);
+  link_resources_.resize(num_links);
   link_dirty_.assign(num_links, 0);
   link_visited_.assign(num_links, 0);
 }
@@ -791,27 +799,156 @@ void AllocationEngine::MarkLinkDirty(LinkId link) {
   }
 }
 
+int32_t AllocationEngine::FindSlot(const ActiveFlow* flow) const {
+  for (const int32_t r : link_resources_[static_cast<size_t>(flow->path->front())]) {
+    for (const int32_t slot : resources_[static_cast<size_t>(r)].flows) {
+      if (slots_[static_cast<size_t>(slot)].flow == flow) {
+        return slot;
+      }
+    }
+  }
+  assert(false && "flow not registered");
+  return -1;
+}
+
+int32_t AllocationEngine::Join(int32_t slot, LinkId link) {
+  const FlowSlot& fs = slots_[static_cast<size_t>(slot)];
+  const ActiveFlow& flow = *fs.flow;
+  const PortConfig& port = net_->port(link);
+  int key = 0;  // Strict priority: one resource per link.
+  if (discipline_ == AllocationDiscipline::kWfqSlQueues) {
+    key = port.sl_to_queue[static_cast<size_t>(flow.sl)];
+    assert(key >= 0 && key < port.num_queues);
+  } else if (discipline_ == AllocationDiscipline::kPerAppQueues) {
+    key = static_cast<int>(flow.app);
+  }
+  std::vector<int32_t>& at_link = link_resources_[static_cast<size_t>(link)];
+  int32_t r = -1;
+  for (const int32_t candidate : at_link) {
+    if (resources_[static_cast<size_t>(candidate)].key == key) {
+      r = candidate;
+      break;
+    }
+  }
+  if (r < 0) {
+    if (free_resources_.empty()) {
+      r = static_cast<int32_t>(resources_.size());
+      resources_.emplace_back();
+    } else {
+      r = free_resources_.back();
+      free_resources_.pop_back();
+    }
+    Resource& res = resources_[static_cast<size_t>(r)];
+    res.link = link;
+    res.key = key;
+    res.flow_weight_sum = 0;
+    // Any member yields the same queue weight (the key pins the queue), so
+    // the first one supplies it. WeightUnits asserts it is positive.
+    if (discipline_ == AllocationDiscipline::kWfqSlQueues) {
+      res.weight_units = WeightUnits(port.queue_weights[static_cast<size_t>(key)]);
+    } else if (discipline_ == AllocationDiscipline::kPerAppQueues) {
+      res.weight_units = WeightUnits(per_app_weights_ ? per_app_weights_(link, flow.app) : 1.0);
+    }
+    at_link.push_back(r);
+  }
+  Resource& res = resources_[static_cast<size_t>(r)];
+  res.flows.push_back(slot);
+  if (nested()) {
+    res.flow_weight_sum += fs.weight_units;
+    const auto it = std::find_if(res.apps.begin(), res.apps.end(),
+                                 [&flow](const auto& entry) { return entry.first == flow.app; });
+    if (it != res.apps.end()) {
+      ++it->second;
+    } else {
+      res.apps.emplace_back(flow.app, 1);
+      res.efficiency = net_->congestion().QueueEfficiency(res.apps.size());
+    }
+  }
+  return r;
+}
+
+void AllocationEngine::Leave(int32_t slot, int32_t resource) {
+  Resource& res = resources_[static_cast<size_t>(resource)];
+  const auto member = std::find(res.flows.begin(), res.flows.end(), slot);
+  assert(member != res.flows.end() && "flow not a member of its resource");
+  *member = res.flows.back();
+  res.flows.pop_back();
+  if (nested()) {
+    const FlowSlot& fs = slots_[static_cast<size_t>(slot)];
+    res.flow_weight_sum -= fs.weight_units;
+    const AppId app = fs.flow->app;
+    const auto it = std::find_if(res.apps.begin(), res.apps.end(),
+                                 [app](const auto& entry) { return entry.first == app; });
+    assert(it != res.apps.end());
+    if (--it->second == 0) {
+      *it = res.apps.back();
+      res.apps.pop_back();
+      if (!res.apps.empty()) {
+        res.efficiency = net_->congestion().QueueEfficiency(res.apps.size());
+      }
+    }
+  }
+  if (res.flows.empty()) {
+    std::vector<int32_t>& at_link = link_resources_[static_cast<size_t>(res.link)];
+    const auto it = std::find(at_link.begin(), at_link.end(), resource);
+    *it = at_link.back();
+    at_link.pop_back();
+    res.link = kInvalidLink;
+    free_resources_.push_back(resource);
+  }
+}
+
 void AllocationEngine::FlowAdded(ActiveFlow* flow) {
   assert(flow != nullptr && flow->path != nullptr && !flow->path->empty());
-  ++num_flows_;
-  for (LinkId l : *flow->path) {
+  const std::vector<LinkId>& path = *flow->path;
+  int32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<int32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  if (path.size() > row_stride_) {
+    // A longer path than any before: re-lay every row at the new stride.
+    // Strides only grow, and path lengths are bounded by the fabric's
+    // diameter, so this happens a handful of times per engine.
+    std::vector<Crossing> grown(slots_.size() * path.size());
+    for (size_t s = 0; s < slots_.size(); ++s) {
+      if (slots_[s].flow != nullptr) {
+        std::copy_n(&rows_[s * row_stride_], slots_[s].path_len, &grown[s * path.size()]);
+      }
+    }
+    rows_.swap(grown);
+    row_stride_ = path.size();
+  }
+  if (rows_.size() < slots_.size() * row_stride_) {
+    rows_.resize(slots_.size() * row_stride_);
+  }
+  FlowSlot& fs = slots_[static_cast<size_t>(slot)];
+  fs.flow = flow;
+  fs.weight_units = WeightUnits(flow->intra_weight);
+  fs.path_len = static_cast<int32_t>(path.size());
+  for (size_t j = 0; j < path.size(); ++j) {
+    const LinkId l = path[j];
     assert(net_->topology().LinkUsable(l) && "flow path crosses a failed link; reroute first");
-    link_flows_[static_cast<size_t>(l)].push_back(flow);
+    Row(slot)[j] = {l, Join(slot, l)};
     MarkLinkDirty(l);
   }
+  ++num_flows_;
 }
 
 void AllocationEngine::FlowRemoved(ActiveFlow* flow) {
   assert(flow != nullptr && num_flows_ > 0);
-  --num_flows_;
-  for (LinkId l : *flow->path) {
-    auto& members = link_flows_[static_cast<size_t>(l)];
-    const auto it = std::find(members.begin(), members.end(), flow);
-    assert(it != members.end() && "flow not registered");
-    *it = members.back();
-    members.pop_back();
-    MarkLinkDirty(l);
+  const int32_t slot = FindSlot(flow);
+  const Crossing* row = Row(slot);
+  for (int32_t j = 0; j < slots_[static_cast<size_t>(slot)].path_len; ++j) {
+    Leave(slot, row[j].resource);
+    MarkLinkDirty(row[j].link);
   }
+  slots_[static_cast<size_t>(slot)].flow = nullptr;
+  free_slots_.push_back(slot);
+  --num_flows_;
 }
 
 void AllocationEngine::FlowQueueChanged(ActiveFlow* flow) {
@@ -819,38 +956,173 @@ void AllocationEngine::FlowQueueChanged(ActiveFlow* flow) {
   for (LinkId l : *flow->path) {
     MarkLinkDirty(l);
   }
+  if (!nested()) {
+    return;  // Strict priority reads priority and weight from the flow at solve time.
+  }
+  const int32_t slot = FindSlot(flow);
+  FlowSlot& fs = slots_[static_cast<size_t>(slot)];
+  Crossing* row = Row(slot);
+  for (int32_t j = 0; j < fs.path_len; ++j) {
+    Leave(slot, row[j].resource);
+  }
+  fs.weight_units = WeightUnits(flow->intra_weight);
+  for (int32_t j = 0; j < fs.path_len; ++j) {
+    row[j].resource = Join(slot, row[j].link);
+  }
 }
 
 void AllocationEngine::PortConfigChanged(LinkId link) {
   MarkLinkDirty(link);
+  if (nested()) {
+    RekeyLink(link);
+  }
+}
+
+void AllocationEngine::RekeyLink(LinkId link) {
+  // Every member leaves before any rejoins, so each queue's resource is
+  // rebuilt from scratch and takes the port's current weight.
+  rekey_.clear();
+  for (const int32_t r : link_resources_[static_cast<size_t>(link)]) {
+    for (const int32_t slot : resources_[static_cast<size_t>(r)].flows) {
+      const Crossing* row = Row(slot);
+      int32_t j = 0;
+      while (row[j].link != link) {
+        ++j;
+      }
+      rekey_.emplace_back(slot, j);
+    }
+  }
+  for (const auto& [slot, j] : rekey_) {
+    Leave(slot, Row(slot)[j].resource);
+  }
+  for (const auto& [slot, j] : rekey_) {
+    Row(slot)[j].resource = Join(slot, link);
+  }
+}
+
+void AllocationEngine::RekeyAll() {
+  for (size_t r = 0; r < resources_.size(); ++r) {
+    Resource& res = resources_[r];
+    if (res.link != kInvalidLink) {
+      link_resources_[static_cast<size_t>(res.link)].clear();
+      res.link = kInvalidLink;
+      res.flows.clear();
+      res.apps.clear();
+      free_resources_.push_back(static_cast<int32_t>(r));
+    }
+  }
+  for (size_t s = 0; s < slots_.size(); ++s) {
+    FlowSlot& fs = slots_[s];
+    if (fs.flow == nullptr) {
+      continue;
+    }
+    fs.weight_units = WeightUnits(fs.flow->intra_weight);
+    Crossing* row = Row(static_cast<int32_t>(s));
+    for (int32_t j = 0; j < fs.path_len; ++j) {
+      row[j].resource = Join(static_cast<int32_t>(s), row[j].link);
+      MarkLinkDirty(row[j].link);
+    }
+  }
 }
 
 void AllocationEngine::InvalidateAll() { all_dirty_ = true; }
 
-void AllocationEngine::CollectComponent(LinkId seed, std::vector<ActiveFlow*>* out) {
+void AllocationEngine::CollectComponent(LinkId seed) {
   bfs_queue_.clear();
   link_visited_[static_cast<size_t>(seed)] = 1;
   visited_scratch_.push_back(seed);
   bfs_queue_.push_back(seed);
   for (size_t head = 0; head < bfs_queue_.size(); ++head) {
     const LinkId l = bfs_queue_[head];
-    for (ActiveFlow* flow : link_flows_[static_cast<size_t>(l)]) {
-      // Every link of the flow's path joins the component, so the flow is
-      // collected exactly once: when the BFS processes its first path link.
-      // (Paths never repeat a link — FlowRemoved's single-erase relies on
-      // the same property.)
-      if (flow->path->front() == l) {
-        out->push_back(flow);
-      }
-      for (LinkId k : *flow->path) {
-        if (!link_visited_[static_cast<size_t>(k)]) {
-          link_visited_[static_cast<size_t>(k)] = 1;
-          visited_scratch_.push_back(k);
-          bfs_queue_.push_back(k);
+    for (const int32_t r : link_resources_[static_cast<size_t>(l)]) {
+      for (const int32_t slot : resources_[static_cast<size_t>(r)].flows) {
+        // Every link of the flow's path joins the component, so the flow is
+        // collected exactly once: when the BFS processes its first path
+        // link. (Paths never repeat a link — Leave's single erase relies on
+        // the same property.)
+        const Crossing* row = Row(slot);
+        const int32_t len = slots_[static_cast<size_t>(slot)].path_len;
+        if (row[0].link == l) {
+          component_.push_back(slots_[static_cast<size_t>(slot)].flow);
+          component_slots_.push_back(slot);
+        }
+        for (int32_t j = 0; j < len; ++j) {
+          const LinkId k = row[j].link;
+          if (!link_visited_[static_cast<size_t>(k)]) {
+            link_visited_[static_cast<size_t>(k)] = 1;
+            visited_scratch_.push_back(k);
+            bfs_queue_.push_back(k);
+          }
         }
       }
     }
   }
+}
+
+void AllocationEngine::SolveKeptComponent() {
+  const size_t n = component_.size();
+  if (n == 1) {
+    SolveSingleFlowNested(component_[0], *net_);
+    return;
+  }
+  ComponentScratch* s = scratch_.get();
+  // Link slots are the component's links in BFS order; each link's resources
+  // take the next local ids. Every component link carries a member flow, so
+  // every link slot has at least one resource.
+  const size_t num_link_slots = bfs_queue_.size();
+  if (s->link_resources.size() < num_link_slots) {
+    s->link_resources.resize(num_link_slots);
+    s->link_capacity.resize(num_link_slots);
+    s->link_crossings.resize(num_link_slots);
+  }
+  if (res_local_.size() < resources_.size()) {
+    res_local_.resize(resources_.size());
+  }
+  if (s->work.size() < resources_.size()) {
+    s->work.resize(resources_.size());
+  }
+  size_t num_resources = 0;
+  for (size_t ls = 0; ls < num_link_slots; ++ls) {
+    const LinkId l = bfs_queue_[ls];
+    s->link_capacity[ls] = net_->topology().link(l).capacity_bps;
+    std::vector<int32_t>& local = s->link_resources[ls];
+    local.clear();
+    int32_t crossings = 0;
+    for (const int32_t g : link_resources_[static_cast<size_t>(l)]) {
+      const Resource& res = resources_[static_cast<size_t>(g)];
+      const int32_t r = static_cast<int32_t>(num_resources++);
+      ResourceWork& w = s->work[static_cast<size_t>(r)];
+      w.weight_units = res.weight_units;
+      w.denom0 = res.flow_weight_sum;
+      w.active0 = static_cast<int32_t>(res.flows.size());
+      w.efficiency = res.efficiency;
+      res_local_[static_cast<size_t>(g)] = r;
+      local.push_back(r);
+      crossings += w.active0;
+    }
+    s->link_crossings[ls] = crossings;
+  }
+
+  if (s->flow_res_offset.size() < n + 1) {
+    s->flow_res_offset.resize(n + 1);
+  }
+  if (s->flow_weight.size() < n) {
+    s->flow_weight.resize(n);
+  }
+  s->flow_res.clear();
+  for (size_t f = 0; f < n; ++f) {
+    const int32_t slot = component_slots_[f];
+    assert(component_[f]->remaining_bits > 0);
+    s->flow_weight[f] = slots_[static_cast<size_t>(slot)].weight_units;
+    s->flow_res_offset[f] = static_cast<int32_t>(s->flow_res.size());
+    const Crossing* row = Row(slot);
+    for (int32_t j = 0; j < slots_[static_cast<size_t>(slot)].path_len; ++j) {
+      s->flow_res.push_back(res_local_[static_cast<size_t>(row[j].resource)]);
+    }
+  }
+  s->flow_res_offset[n] = static_cast<int32_t>(s->flow_res.size());
+  FinishIncidence(n, num_resources, s);
+  SolveNestedWfqInt(component_, num_resources, num_link_slots, s);
 }
 
 void AllocationEngine::Recompute() {
@@ -861,17 +1133,11 @@ void AllocationEngine::Recompute() {
   if (all_dirty_) {
     ++stats_.full_recomputes;
     all_dirty_ = false;
-    // Every link that carries a flow seeds the BFS below, so the full path
-    // re-solves every component through the incremental code. The scan is
-    // skipped for an empty engine: a flowless simulator under a controller
-    // still invalidates its whole fabric on every flush.
-    if (num_flows_ > 0) {
-      for (size_t l = 0; l < link_flows_.size(); ++l) {
-        if (!link_flows_[l].empty()) {
-          MarkLinkDirty(static_cast<LinkId>(l));
-        }
-      }
-    }
+    // Re-keying marks every link that carries a flow dirty, so the full path
+    // re-solves every component through the incremental code. It costs
+    // O(registered flows): a flowless simulator under a controller still
+    // invalidates its whole fabric on every flush.
+    RekeyAll();
   }
 
   // Solve each dirty component as the BFS finds it. A solve writes only its
@@ -883,11 +1149,16 @@ void AllocationEngine::Recompute() {
       continue;  // Already part of an earlier seed's component.
     }
     component_.clear();
-    CollectComponent(seed, &component_);
+    component_slots_.clear();
+    CollectComponent(seed);
     if (component_.empty()) {
       continue;  // A dirty link nobody crosses (e.g. a removed flow's last link).
     }
-    SolveComponent(component_, *net_, discipline_, per_app_weights_, scratch_.get());
+    if (nested()) {
+      SolveKeptComponent();
+    } else {
+      SolveComponentStrict(component_, *net_, scratch_.get());
+    }
     rerated += component_.size();
     ++num_components;
   }

@@ -9,11 +9,14 @@
 //    a link is queue_weight / flows_in_that_queue; rates are computed by
 //    weighted progressive filling: all flows grow proportionally to their
 //    path-wide minimum weight until a link saturates, whose flows then freeze
-//    at their share, and so on. The allocation is work-conserving and every
-//    flow ends up bottlenecked at some saturated link. (The per-flow weight
-//    is fixed at the start of each allocation — the classical approximation
-//    used by fluid simulators; per-queue shares at a single bottleneck are
-//    exact.)
+//    at their share, and so on. Capacity a queue leaves unused is re-homed to
+//    the link's binding queues for at most four rounds, after which slack can
+//    remain: the allocation is not guaranteed to be work-conserving, nor
+//    every flow to be bottlenecked at a saturated link (ROADMAP.md, "Exact
+//    nested-WFQ fill", measures the gap and replaces the rounds). (The
+//    per-flow weight is fixed at the start of each allocation — the classical
+//    approximation used by fluid simulators; per-queue shares at a single
+//    bottleneck are exact.)
 //
 //  * StrictPriorityAllocator — serves priority classes in order (class 0
 //    first), giving each class a max-min allocation of the capacity left by

@@ -12,8 +12,11 @@
 // weights) and each coalesced reallocation re-solves only the link-sharing
 // components those deltas touched (see allocation_engine.h; DESIGN.md §7.1
 // "Incremental allocation"). The engine's rates are bit-identical to a
-// from-scratch run. The simulator's id-ordered map is the only flow table:
-// the engine keeps just per-link membership pointing into it.
+// from-scratch run. The simulator's id-ordered map is the only flow table; the
+// engine keeps each flow's queue at every path link, and the per-queue sums,
+// pointing into it. Hence a change to a port, a per-app weight or the
+// congestion model must be announced through NotifyLinkChanged or
+// RequestReallocate before the next reallocation (network.h).
 
 #ifndef SRC_NET_FLOW_SIMULATOR_H_
 #define SRC_NET_FLOW_SIMULATOR_H_
@@ -62,15 +65,16 @@ class FlowSimulator {
   // controller re-clusters PLs). Triggers reallocation.
   void SetAppServiceLevel(AppId app, int sl);
 
-  // Notifies the simulator that port configurations changed; rates are
-  // recomputed at the current instant. The changed ports are unattributed, so
-  // this invalidates the whole fabric (full recompute on the engine).
+  // Notifies the simulator that port configurations, per-app weights or the
+  // congestion model changed; rates are recomputed at the current instant.
+  // The changes are unattributed, so this invalidates the whole fabric (the
+  // engine re-keys every flow and recomputes in full).
   void RequestReallocate();
 
-  // Notifies the simulator that one link's capacity changed in place (e.g. a
-  // degradation scenario scaled it). Routing is untouched — only the port's
-  // capacity is re-read — so this streams a targeted PortConfigChanged delta
-  // instead of invalidating the whole fabric.
+  // Notifies the simulator that one link changed in place: its capacity (e.g.
+  // a degradation scenario scaled it) or its port configuration. Routing is
+  // untouched, so this streams a targeted PortConfigChanged delta, which
+  // re-keys that port's flows, instead of invalidating the whole fabric.
   void NotifyLinkChanged(LinkId link);
 
   // Re-pins live flows after a topology up/down mutation (SetLinkUp /

@@ -90,6 +90,13 @@ class Network {
 
   Router& router() { return router_; }
 
+  // Contract with the allocation engine, which keeps each flow's queue and
+  // each queue's weight from the moment its delta arrived: a write through
+  // port() (or SetQueueCountEverywhere / MapSlToQueueEverywhere), a change to
+  // the per-app weights an allocator reads, or SetCongestionModel must reach
+  // every FlowSimulator over this network through NotifyLinkChanged (one port)
+  // or RequestReallocate (unknown ports) before its next reallocation.
+  // Configuring before the first flow starts needs no notification.
   PortConfig& port(LinkId link) { return ports_[static_cast<size_t>(link)]; }
   const PortConfig& port(LinkId link) const { return ports_[static_cast<size_t>(link)]; }
 
@@ -100,6 +107,7 @@ class Network {
   // Sets the SL->queue map entry on every port.
   void MapSlToQueueEverywhere(int sl, int queue);
 
+  // Mid-run, follow with RequestReallocate (see the contract at port()).
   void SetCongestionModel(std::unique_ptr<CongestionModel> model);
   const CongestionModel& congestion() const { return *congestion_; }
 

@@ -55,10 +55,13 @@ bool CrossesUnusableLink(const Topology& topo, const std::vector<LinkId>& path) 
 }
 
 // Randomized churn: interleave flow starts, cancels, queue moves (SL /
-// priority / intra-weight), per-port reconfigurations, full invalidations,
-// and link failures/restores (with deterministic reroute of broken flows),
-// and after EVERY event check that the engine's incremental rates are
-// bit-identical to a from-scratch solve of the same flow set.
+// priority / intra-weight, or SL and intra-weight at once), per-port
+// reconfigurations, reprogramming announced only by a full invalidation, and
+// link failures/restores (with deterministic reroute of broken flows). Like
+// FlowSimulator, which coalesces same-instant deltas, each round applies one
+// to four ops before Recompute(), and after EVERY Recompute() the engine's
+// incremental rates must be bit-identical to a from-scratch solve of the same
+// flow set.
 struct ChurnCase {
   const char* name;
   AllocationDiscipline discipline;
@@ -82,15 +85,27 @@ TEST_P(EngineChurnTest, IncrementalMatchesFromScratchBitExact) {
   for (int sl = 0; sl < kNumServiceLevels; ++sl) {
     network.MapSlToQueueEverywhere(sl, sl % 4);
   }
+  double gamma = 0.30;
   if (c.fecn) {
-    network.SetCongestionModel(std::make_unique<FecnCongestionModel>(0.30));
+    network.SetCongestionModel(std::make_unique<FecnCongestionModel>(gamma));
+  }
+  const size_t num_links = network.topology().num_links();
+  constexpr int kNumApps = 10;
+  // A mutable per-(link, app) weight table: the reprogram op rewrites entries
+  // behind the engine's back and announces it only through InvalidateAll().
+  std::vector<double> app_weight(num_links * kNumApps);
+  for (size_t i = 0; i < app_weight.size(); ++i) {
+    app_weight[i] = PerAppWeight(kInvalidLink, static_cast<AppId>(i % kNumApps));
   }
   const PerAppWeightFn weights =
-      c.discipline == AllocationDiscipline::kPerAppQueues ? PerAppWeight : PerAppWeightFn();
+      c.discipline == AllocationDiscipline::kPerAppQueues
+          ? PerAppWeightFn([&app_weight](LinkId l, AppId app) {
+              return app_weight[static_cast<size_t>(l) * kNumApps + static_cast<size_t>(app)];
+            })
+          : PerAppWeightFn();
 
   AllocationEngine engine(&network, c.discipline, weights);
   const std::vector<NodeId> hosts = network.topology().Hosts();
-  const size_t num_links = network.topology().num_links();
 
   Rng rng(c.seed);
   std::map<FlowId, std::unique_ptr<ActiveFlow>> live;
@@ -105,107 +120,131 @@ TEST_P(EngineChurnTest, IncrementalMatchesFromScratchBitExact) {
   std::vector<ActiveFlow> oracle;
   std::vector<ActiveFlow*> oracle_ptrs;
 
-  constexpr int kEvents = 5000;
+  constexpr int kEvents = 5000;  // Recompute() rounds.
   for (int e = 0; e < kEvents; ++e) {
-    // Start-heavy until the pool is populated, then balanced churn.
-    const double start_w = live.size() < 100 ? 0.45 : 0.25;
-    const double cancel_w = live.size() < 100 ? 0.20 : 0.40;
-    const size_t op = live.empty()
-                          ? 0
-                          : rng.WeightedIndex({start_w, cancel_w, 0.20, 0.10, 0.03, 0.02});
-    switch (op) {
-      case 0: {  // Start a flow.
-        const NodeId src = rng.Choice(hosts);
-        NodeId dst = rng.Choice(hosts);
-        while (dst == src) {
-          dst = rng.Choice(hosts);
-        }
-        auto flow = std::make_unique<ActiveFlow>();
-        flow->id = next_id++;
-        flow->app = static_cast<AppId>(rng.UniformInt(0, 9));
-        flow->sl = static_cast<int>(rng.UniformInt(0, kNumServiceLevels - 1));
-        flow->priority = static_cast<int>(rng.UniformInt(0, 7));
-        flow->intra_weight = rng.Bernoulli(0.2) ? 0.0625 : 1.0;
-        flow->remaining_bits = rng.Uniform(1e6, 1e9);
-        const uint64_t salt = rng.Next();
-        FlowRoute& route = routes[flow->id];
-        route = {src, dst, salt, network.router().Route(src, dst, salt)};
-        flow->path = &route.path;
-        engine.FlowAdded(flow.get());
-        live_ids.push_back(flow->id);
-        live.emplace(flow->id, std::move(flow));
-        break;
-      }
-      case 1: {  // Cancel a flow.
-        const size_t pick = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(live_ids.size()) - 1));
-        const FlowId id = live_ids[pick];
-        live_ids[pick] = live_ids.back();
-        live_ids.pop_back();
-        engine.FlowRemoved(live.at(id).get());
-        live.erase(id);
-        routes.erase(id);
-        break;
-      }
-      case 2: {  // Move a flow between queues / classes.
-        ActiveFlow* flow = live.at(rng.Choice(live_ids)).get();
-        switch (rng.UniformInt(0, 2)) {
-          case 0:
-            flow->sl = static_cast<int>(rng.UniformInt(0, kNumServiceLevels - 1));
-            break;
-          case 1:
-            flow->priority = static_cast<int>(rng.UniformInt(0, 7));
-            break;
-          default:
-            flow->intra_weight = flow->intra_weight == 1.0 ? 0.0625 : 1.0;
-            break;
-        }
-        engine.FlowQueueChanged(flow);
-        break;
-      }
-      case 3: {  // Reconfigure one port.
-        const LinkId link = static_cast<LinkId>(rng.UniformInt(
-            0, static_cast<int64_t>(num_links) - 1));
-        PortConfig& port = network.port(link);
-        if (rng.Bernoulli(0.5)) {
-          const int sl = static_cast<int>(rng.UniformInt(0, kNumServiceLevels - 1));
-          port.sl_to_queue[static_cast<size_t>(sl)] =
-              static_cast<int>(rng.UniformInt(0, port.num_queues - 1));
-        } else {
-          const size_t q = static_cast<size_t>(rng.UniformInt(0, port.num_queues - 1));
-          port.queue_weights[q] = rng.Uniform(0.1, 2.0);
-        }
-        engine.PortConfigChanged(link);
-        break;
-      }
-      case 4:
-        engine.InvalidateAll();
-        break;
-      default: {  // Fail or restore one switch-switch duplex link.
-        Topology& topo = network.topology();
-        if (down_link == kInvalidLink) {
-          down_link = rng.Choice(fabric_links);
-          topo.SetLinkUp(down_link, false);
-          topo.SetLinkUp(down_link + 1, false);
-          // Re-pin broken flows in ascending id order (the FlowSimulator
-          // contract): remove on the old path, re-route, re-add.
-          for (auto& [id, route] : routes) {
-            if (!CrossesUnusableLink(topo, route.path)) {
-              continue;
-            }
-            ActiveFlow* flow = live.at(id).get();
-            engine.FlowRemoved(flow);
-            route.path = network.router().Route(route.src, route.dst, route.salt);
-            ASSERT_FALSE(route.path.empty())
-                << "one duplex failure must leave the fabric connected";
-            engine.FlowAdded(flow);
+    const int64_t ops = rng.UniformInt(1, 4);
+    for (int64_t o = 0; o < ops; ++o) {
+      // Start-heavy until the pool is populated, then balanced churn.
+      const double start_w = live.size() < 100 ? 0.45 : 0.25;
+      const double cancel_w = live.size() < 100 ? 0.20 : 0.40;
+      const size_t op = live.empty()
+                            ? 0
+                            : rng.WeightedIndex({start_w, cancel_w, 0.20, 0.10, 0.03, 0.02});
+      switch (op) {
+        case 0: {  // Start a flow.
+          const NodeId src = rng.Choice(hosts);
+          NodeId dst = rng.Choice(hosts);
+          while (dst == src) {
+            dst = rng.Choice(hosts);
           }
-        } else {  // Restores never move pinned flows; no deltas to stream.
-          topo.SetLinkUp(down_link, true);
-          topo.SetLinkUp(down_link + 1, true);
-          down_link = kInvalidLink;
+          auto flow = std::make_unique<ActiveFlow>();
+          flow->id = next_id++;
+          flow->app = static_cast<AppId>(rng.UniformInt(0, kNumApps - 1));
+          flow->sl = static_cast<int>(rng.UniformInt(0, kNumServiceLevels - 1));
+          flow->priority = static_cast<int>(rng.UniformInt(0, 7));
+          flow->intra_weight = rng.Bernoulli(0.2) ? 0.0625 : 1.0;
+          flow->remaining_bits = rng.Uniform(1e6, 1e9);
+          const uint64_t salt = rng.Next();
+          FlowRoute& route = routes[flow->id];
+          route = {src, dst, salt, network.router().Route(src, dst, salt)};
+          flow->path = &route.path;
+          engine.FlowAdded(flow.get());
+          live_ids.push_back(flow->id);
+          live.emplace(flow->id, std::move(flow));
+          break;
         }
-        break;
+        case 1: {  // Cancel a flow.
+          const size_t pick = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(live_ids.size()) - 1));
+          const FlowId id = live_ids[pick];
+          live_ids[pick] = live_ids.back();
+          live_ids.pop_back();
+          engine.FlowRemoved(live.at(id).get());
+          live.erase(id);
+          routes.erase(id);
+          break;
+        }
+        case 2: {  // Move a flow between queues / classes.
+          ActiveFlow* flow = live.at(rng.Choice(live_ids)).get();
+          switch (rng.UniformInt(0, 3)) {
+            case 0:
+              flow->sl = static_cast<int>(rng.UniformInt(0, kNumServiceLevels - 1));
+              break;
+            case 1:
+              flow->priority = static_cast<int>(rng.UniformInt(0, 7));
+              break;
+            case 2:
+              flow->intra_weight = flow->intra_weight == 1.0 ? 0.0625 : 1.0;
+              break;
+            default:  // Both attributes, one delta.
+              flow->sl = static_cast<int>(rng.UniformInt(0, kNumServiceLevels - 1));
+              flow->intra_weight = flow->intra_weight == 1.0 ? 0.0625 : 1.0;
+              break;
+          }
+          engine.FlowQueueChanged(flow);
+          break;
+        }
+        case 3: {  // Reconfigure one port.
+          const LinkId link = static_cast<LinkId>(rng.UniformInt(
+              0, static_cast<int64_t>(num_links) - 1));
+          PortConfig& port = network.port(link);
+          if (rng.Bernoulli(0.5)) {
+            const int sl = static_cast<int>(rng.UniformInt(0, kNumServiceLevels - 1));
+            port.sl_to_queue[static_cast<size_t>(sl)] =
+                static_cast<int>(rng.UniformInt(0, port.num_queues - 1));
+          } else {
+            const size_t q = static_cast<size_t>(rng.UniformInt(0, port.num_queues - 1));
+            port.queue_weights[q] = rng.Uniform(0.1, 2.0);
+          }
+          engine.PortConfigChanged(link);
+          break;
+        }
+        case 4: {  // Reprogram behind the engine's back, then only InvalidateAll():
+                   // the controller's FinishFlush -> RequestReallocate path.
+          for (int64_t k = rng.UniformInt(1, 3); k > 0; --k) {
+            const LinkId link = static_cast<LinkId>(rng.UniformInt(
+                0, static_cast<int64_t>(num_links) - 1));
+            PortConfig& port = network.port(link);
+            const size_t sl = static_cast<size_t>(rng.UniformInt(0, kNumServiceLevels - 1));
+            port.sl_to_queue[sl] = static_cast<int>(rng.UniformInt(0, port.num_queues - 1));
+            const size_t q = static_cast<size_t>(rng.UniformInt(0, port.num_queues - 1));
+            port.queue_weights[q] = rng.Uniform(0.1, 2.0);
+            const size_t app = static_cast<size_t>(rng.UniformInt(0, kNumApps - 1));
+            app_weight[static_cast<size_t>(link) * kNumApps + app] = rng.Uniform(0.1, 2.0);
+          }
+          if (c.fecn && rng.Bernoulli(0.25)) {
+            gamma = gamma == 0.30 ? 0.45 : 0.30;
+            network.SetCongestionModel(std::make_unique<FecnCongestionModel>(gamma));
+          }
+          engine.InvalidateAll();
+          break;
+        }
+        default: {  // Fail or restore one switch-switch duplex link.
+          Topology& topo = network.topology();
+          if (down_link == kInvalidLink) {
+            down_link = rng.Choice(fabric_links);
+            topo.SetLinkUp(down_link, false);
+            topo.SetLinkUp(down_link + 1, false);
+            // Re-pin broken flows in ascending id order (the FlowSimulator
+            // contract): remove on the old path, re-route, re-add.
+            for (auto& [id, route] : routes) {
+              if (!CrossesUnusableLink(topo, route.path)) {
+                continue;
+              }
+              ActiveFlow* flow = live.at(id).get();
+              engine.FlowRemoved(flow);
+              route.path = network.router().Route(route.src, route.dst, route.salt);
+              ASSERT_FALSE(route.path.empty())
+                  << "one duplex failure must leave the fabric connected";
+              engine.FlowAdded(flow);
+            }
+          } else {  // Restores never move pinned flows; no deltas to stream.
+            topo.SetLinkUp(down_link, true);
+            topo.SetLinkUp(down_link + 1, true);
+            down_link = kInvalidLink;
+          }
+          break;
+        }
       }
     }
 
