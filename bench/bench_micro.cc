@@ -623,6 +623,36 @@ void BM_RouterFreshTables(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterFreshTables);
 
+// A new Router per iteration on controller-churn's fabric, fig11-scale's 5x
+// spine-leaf (54 spine, 510 leaf and 540 ToR switches, 18 hosts per ToR, 30
+// pods), routes a fixed seeded set of 2,048 host pairs. Most pairs cross
+// pods, so an iteration builds a table for nearly every ToR and walks spines
+// with 510 out-links each. Items are routes.
+void BM_RouterChurnFabric(benchmark::State& state) {
+  constexpr size_t kRoutes = 2048;
+  const Topology topo = BuildSpineLeaf(
+      {.num_spine = 54, .num_leaf = 510, .num_tor = 540, .hosts_per_tor = 18, .num_pods = 30});
+  Rng rng(43);
+  const std::vector<NodeId> hosts = topo.Hosts();
+  std::vector<RouteKey> keys;
+  while (keys.size() < kRoutes) {
+    const NodeId src = rng.Choice(hosts);
+    NodeId dst = rng.Choice(hosts);
+    while (dst == src) {
+      dst = rng.Choice(hosts);
+    }
+    keys.push_back({src, dst, rng.Next()});
+  }
+  for (auto _ : state) {
+    Router router(&topo);
+    for (const RouteKey& key : keys) {
+      benchmark::DoNotOptimize(router.Route(key.src, key.dst, key.salt).size());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kRoutes));
+}
+BENCHMARK(BM_RouterChurnFabric)->Unit(benchmark::kMillisecond);
+
 // --- Sincronia's BSSI order ----------------------------------------------------
 
 // One BSSI order over a fig10-shaped input: 20 coflows of six flows each

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <limits>
 
 namespace saba {
@@ -29,36 +28,69 @@ Router::Router(const Topology* topo) : topo_(topo) {
   assert(topo != nullptr);
   seen_epoch_ = topo_->epoch();
   const size_t num_nodes = topo_->num_nodes();
-  in_links_.resize(num_nodes);
-  for (size_t l = 0; l < topo_->num_links(); ++l) {
-    in_links_[static_cast<size_t>(topo_->link(static_cast<LinkId>(l)).dst)].push_back(
-        static_cast<LinkId>(l));
+  const LinkId num_links = static_cast<LinkId>(topo_->num_links());
+  // Each node's in-degree and its last in-link, the only one when the degree
+  // is 1.
+  std::vector<uint32_t> in_degree(num_nodes, 0);
+  std::vector<LinkId> some_in(num_nodes, kInvalidLink);
+  for (LinkId l = 0; l < num_links; ++l) {
+    const size_t dst = static_cast<size_t>(topo_->link(l).dst);
+    ++in_degree[dst];
+    some_in[dst] = l;
   }
-  last_hop_.assign(num_nodes, kInvalidLink);
-  for (size_t n = 0; n < num_nodes; ++n) {
-    if (in_links_[n].size() != 1) {
-      continue;
+  // True when node n has exactly one in-link and every out-link of n goes
+  // back to that link's tail.
+  const auto single_homed = [&](size_t n) {
+    if (in_degree[n] != 1) {
+      return false;
     }
-    const LinkId in = in_links_[n].front();
-    const NodeId attach = topo_->link(in).src;
+    const NodeId attach = topo_->link(some_in[n]).src;
     const std::vector<LinkId>& out = topo_->OutLinks(static_cast<NodeId>(n));
-    if (std::all_of(out.begin(), out.end(),
-                    [&](LinkId l) { return topo_->link(l).dst == attach; })) {
-      last_hop_[n] = in;
+    return std::all_of(out.begin(), out.end(),
+                       [&](LinkId l) { return topo_->link(l).dst == attach; });
+  };
+  last_hop_.assign(num_nodes, kInvalidLink);
+  core_index_.assign(num_nodes, kStub);
+  int32_t num_core = 0;
+  for (size_t n = 0; n < num_nodes; ++n) {
+    if (single_homed(n) && !single_homed(static_cast<size_t>(topo_->link(some_in[n]).src))) {
+      last_hop_[n] = some_in[n];
+    } else {
+      core_index_[n] = num_core++;
     }
   }
-  tables_.resize(num_nodes);
-}
+  const auto core_of = [&](NodeId n) { return core_index_[static_cast<size_t>(n)]; };
 
-int32_t Router::HopsTo::operator()(NodeId n) const {
-  if (n == dst) {
-    return 0;
+  out_begin_.reserve(num_nodes + 1);
+  out_begin_.push_back(0);
+  out_arcs_.reserve(static_cast<size_t>(num_links));
+  for (size_t n = 0; n < num_nodes; ++n) {
+    for (LinkId l : topo_->OutLinks(static_cast<NodeId>(n))) {
+      out_arcs_.push_back({l, core_of(topo_->link(l).dst)});
+    }
+    out_begin_.push_back(static_cast<uint32_t>(out_arcs_.size()));
   }
-  if (table == nullptr) {
-    return kUnreachable;
+
+  // Core-to-core links grouped by head, in link id order within a head.
+  in_begin_.assign(static_cast<size_t>(num_core) + 1, 0);
+  for (LinkId l = 0; l < num_links; ++l) {
+    const Link& link = topo_->link(l);
+    if (core_of(link.src) != kStub && core_of(link.dst) != kStub) {
+      ++in_begin_[static_cast<size_t>(core_of(link.dst)) + 1];
+    }
   }
-  const int32_t d = (*table)[static_cast<size_t>(n)];
-  return d == kUnreachable ? kUnreachable : d + extra_hops;
+  for (size_t c = 0; c < static_cast<size_t>(num_core); ++c) {
+    in_begin_[c + 1] += in_begin_[c];
+  }
+  in_arcs_.resize(in_begin_.back());
+  std::vector<uint32_t> next(in_begin_.begin(), in_begin_.end() - 1);
+  for (LinkId l = 0; l < num_links; ++l) {
+    const Link& link = topo_->link(l);
+    if (core_of(link.src) != kStub && core_of(link.dst) != kStub) {
+      in_arcs_[next[static_cast<size_t>(core_of(link.dst))]++] = {l, core_of(link.src)};
+    }
+  }
+  tables_.resize(static_cast<size_t>(num_core));
 }
 
 void Router::MaybeInvalidate() {
@@ -73,32 +105,56 @@ void Router::MaybeInvalidate() {
 Router::HopsTo Router::DistancesTo(NodeId dst) {
   const LinkId last_hop = last_hop_[static_cast<size_t>(dst)];
   if (last_hop == kInvalidLink) {
-    return {dst, &TableFor(dst), 0};
+    return {dst, &TableFor(core_index_[static_cast<size_t>(dst)]), 0, kInvalidLink};
   }
   if (!topo_->LinkUsable(last_hop)) {
-    return {dst, nullptr, 0};
+    return {dst, nullptr, 0, last_hop};
   }
-  return {dst, &TableFor(topo_->link(last_hop).src), 1};
+  const NodeId attach = topo_->link(last_hop).src;
+  return {dst, &TableFor(core_index_[static_cast<size_t>(attach)]), 1, last_hop};
 }
 
-const std::vector<int32_t>& Router::TableFor(NodeId anchor) {
+int32_t Router::HopsFrom(NodeId n, const HopsTo& to) const {
+  if (n == to.dst) {
+    return 0;
+  }
+  if (to.table == nullptr) {
+    return kUnreachable;
+  }
+  int32_t core = core_index_[static_cast<size_t>(n)];
+  int32_t extra_hops = to.extra_hops;
+  if (core == kStub) {
+    // A stub's every path leaves through its attachment, one hop up.
+    const auto first = out_arcs_.begin() + out_begin_[static_cast<size_t>(n)];
+    const auto last = out_arcs_.begin() + out_begin_[static_cast<size_t>(n) + 1];
+    if (std::none_of(first, last, [&](const Arc& a) { return topo_->LinkUsable(a.link); })) {
+      return kUnreachable;
+    }
+    core = first->core;
+    ++extra_hops;
+  }
+  const int32_t d = (*to.table)[static_cast<size_t>(core)];
+  return d == kUnreachable ? kUnreachable : d + extra_hops;
+}
+
+const std::vector<int32_t>& Router::TableFor(int32_t anchor) {
   std::vector<int32_t>& dist = tables_[static_cast<size_t>(anchor)];
   if (!dist.empty()) {
     return dist;
   }
-  dist.assign(topo_->num_nodes(), kUnreachable);
+  dist.assign(tables_.size(), kUnreachable);
   dist[static_cast<size_t>(anchor)] = 0;
-  std::deque<NodeId> frontier{anchor};
-  while (!frontier.empty()) {
-    const NodeId n = frontier.front();
-    frontier.pop_front();
-    for (LinkId l : in_links_[static_cast<size_t>(n)]) {
+  frontier_.assign(1, anchor);
+  for (size_t i = 0; i < frontier_.size(); ++i) {
+    const size_t c = static_cast<size_t>(frontier_[i]);
+    const int32_t prev_hops = dist[c] + 1;
+    for (uint32_t k = in_begin_[c]; k < in_begin_[c + 1]; ++k) {
       // The visited test goes first: on a spine-leaf most in-links lead back
       // to nodes already reached, and it reads no endpoint up flags.
-      const NodeId prev = topo_->link(l).src;
-      if (dist[static_cast<size_t>(prev)] == kUnreachable && topo_->LinkUsable(l)) {
-        dist[static_cast<size_t>(prev)] = dist[static_cast<size_t>(n)] + 1;
-        frontier.push_back(prev);
+      const Arc& arc = in_arcs_[k];
+      if (dist[static_cast<size_t>(arc.core)] == kUnreachable && topo_->LinkUsable(arc.link)) {
+        dist[static_cast<size_t>(arc.core)] = prev_hops;
+        frontier_.push_back(arc.core);
       }
     }
   }
@@ -118,24 +174,29 @@ const std::vector<LinkId>& Router::Route(NodeId src, NodeId dst, uint64_t salt) 
   const uint64_t digest = PathDigest(src, dst, salt);
   std::vector<LinkId> path;
   if (src != dst) {
-    const HopsTo hops = DistancesTo(dst);
-    if (hops(src) != kUnreachable) {
-      NodeId u = src;
-      while (u != dst) {
-        // Collect all usable next hops on a shortest path. The hop test goes
-        // first: it rejects most of a spine's or leaf's out-links.
-        const int32_t next_hops = hops(u) - 1;
-        std::vector<LinkId> candidates;
-        for (LinkId l : topo_->OutLinks(u)) {
-          if (hops(topo_->link(l).dst) == next_hops && topo_->LinkUsable(l)) {
-            candidates.push_back(l);
+    const HopsTo to = DistancesTo(dst);
+    int32_t hops = HopsFrom(src, to);
+    if (hops != kUnreachable) {
+      const std::vector<int32_t>& table = *to.table;
+      for (NodeId u = src; u != dst; u = topo_->link(path.back()).dst) {
+        // Collect all usable next hops one hop closer. The hop test goes
+        // first: it rejects most of a spine's or leaf's out-links. Of the
+        // stub heads only dst, at 0 hops, can be closer.
+        --hops;
+        const int32_t entry = hops - to.extra_hops;
+        candidates_.clear();
+        for (uint32_t i = out_begin_[static_cast<size_t>(u)];
+             i < out_begin_[static_cast<size_t>(u) + 1]; ++i) {
+          const Arc& arc = out_arcs_[i];
+          const bool closer = arc.core == kStub ? arc.link == to.last_hop && hops == 0
+                                                : table[static_cast<size_t>(arc.core)] == entry;
+          if (closer && topo_->LinkUsable(arc.link)) {
+            candidates_.push_back(arc.link);
           }
         }
-        assert(!candidates.empty());
+        assert(!candidates_.empty());
         const uint64_t h = Mix64(digest ^ (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 17));
-        const LinkId chosen = candidates[h % candidates.size()];
-        path.push_back(chosen);
-        u = topo_->link(chosen).dst;
+        path.push_back(candidates_[h % candidates_.size()]);
       }
     }
     // else: unreachable at this epoch — cache the empty path; callers use
@@ -149,7 +210,7 @@ bool Router::Reachable(NodeId src, NodeId dst) {
   if (src == dst) {
     return true;
   }
-  return DistancesTo(dst)(src) != kUnreachable;
+  return HopsFrom(src, DistancesTo(dst)) != kUnreachable;
 }
 
 }  // namespace saba

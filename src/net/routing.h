@@ -9,17 +9,33 @@
 //
 // Two caches serve the stage-structured workloads, which reuse the same node
 // pairs across stages: resolved paths, keyed by the full (src, dst, salt)
-// triple, and hop-count tables, one reverse BFS per *anchor* node. A
-// destination h is single-homed when it has exactly one in-link s->h and every
-// out-link of h goes back to s; every host the star, spine-leaf and fat-tree
-// builders make is. Its hop counts are read from the table of its attachment
-// switch s: d(n->h) = d(n->s) + 1 for n != h, and 0 at h. When that last hop
-// is not usable (the link, s or h is down), no other node reaches h, while h's
-// own routes out are unaffected. Any other destination anchors its own table,
-// so on the provided fabrics the cache holds at most one table per switch,
-// never one per host. The rule is read from the topology's shape at
-// construction. Both caches are dropped whenever the topology's failure
-// epoch() advances, so routes recompute around link/switch failures.
+// triple, and hop-count tables, one reverse BFS per *anchor* node.
+//
+// A node h is a *stub* when it has exactly one in-link s->h, every out-link
+// of h goes back to s, and s is not such a node itself (that happens only to
+// two nodes wired just to each other). Every host the star, spine-leaf and
+// fat-tree builders make is a stub; every other node is *core*. The shape is
+// read from the topology at construction, and the core nodes are numbered
+// densely. A stub never lies inside a shortest path, since its only
+// neighbour is s, so each table holds one entry per core node: 1,104 instead
+// of 10,824 on fig11-scale's fabric. Each table's reverse BFS runs over a
+// flat (CSR) in-adjacency of the core nodes alone.
+//
+// A stub destination h reads its attachment s's table: d(n->h) = d(n->s) + 1
+// for n != h, and 0 at h. When s->h is not usable (the link, s or h is down),
+// no other node reaches h. A stub n's own count is d(s->anchor) + 1 when one
+// of its uplinks is usable, and unreachable otherwise, which is what a BFS
+// over every node assigns it. A core destination anchors its own table, so
+// the cache holds at most one table per switch, never one per host.
+//
+// The ECMP walk scans a node's out-links in OutLinks order from a flat
+// out-adjacency and keeps the usable ones whose head is one hop closer. It
+// skips a stub head other than the destination: that stub's only neighbour is
+// the node being left, so it is never closer. Each hop therefore sees the
+// same candidates, in the same order, as a per-destination BFS over every
+// node, and the per-hop hash picks the same link. Both caches are dropped
+// whenever the topology's failure epoch() advances, so routes recompute
+// around link/switch failures.
 
 #ifndef SRC_NET_ROUTING_H_
 #define SRC_NET_ROUTING_H_
@@ -85,40 +101,66 @@ class Router {
   size_t cached_paths() const { return path_cache_.size(); }
 
  private:
-  // Hop counts to one destination over usable links: 0 at `dst`, and
-  // (*table)[n] + extra_hops at every other node n (unreachable stays
-  // unreachable). A null table means no other node reaches `dst`.
+  // core_index_ of a stub.
+  static constexpr int32_t kStub = -1;
+
+  // One entry of a flat adjacency: a link and the core index of its far end
+  // (its head in the out-adjacency, its tail in the in-adjacency), or kStub.
+  struct Arc {
+    LinkId link;
+    int32_t core;
+  };
+
+  // Hop counts to one destination over usable links: 0 at `dst`, and the
+  // anchor table's entry plus extra_hops at every other node (unreachable
+  // stays unreachable). A null table means no other node reaches `dst`.
   struct HopsTo {
     NodeId dst;
+    // The anchor's table, indexed by core index.
     const std::vector<int32_t>* table;
     int32_t extra_hops;
-
-    int32_t operator()(NodeId n) const;
+    // dst's one in-link when dst is a stub, kInvalidLink otherwise.
+    LinkId last_hop;
   };
 
   // Drops both caches if the topology's failure epoch moved since the last
   // query. Called on every public entry point.
   void MaybeInvalidate();
 
-  // Hop counts to `dst`: through its attachment switch's table when `dst` is
-  // single-homed, through its own table otherwise (see the file comment).
+  // Hop counts to `dst`: through its attachment's table when `dst` is a stub,
+  // through its own table otherwise (see the file comment).
   HopsTo DistancesTo(NodeId dst);
 
-  // Hop counts from every node to `anchor` over usable links, computed by
-  // reverse BFS and cached. Unreachable nodes hold INT32_MAX.
-  const std::vector<int32_t>& TableFor(NodeId anchor);
+  // Hop count from `n` to `to.dst`, or INT32_MAX when unreachable.
+  int32_t HopsFrom(NodeId n, const HopsTo& to) const;
+
+  // Hop counts from every core node to core node `anchor` over usable links,
+  // computed by reverse BFS and cached. Unreachable nodes hold INT32_MAX.
+  const std::vector<int32_t>& TableFor(int32_t anchor);
 
   const Topology* topo_;
   // Failure epoch the caches were computed at.
   uint64_t seen_epoch_ = 0;
-  // Reverse adjacency: in_links_[n] lists links whose dst is n.
-  std::vector<std::vector<LinkId>> in_links_;
-  // last_hop_[h] is the one in-link of a single-homed node h, and
-  // kInvalidLink for every other node.
+  // Dense index of each core node, kStub for each stub.
+  std::vector<int32_t> core_index_;
+  // last_hop_[h] is the one in-link of a stub h, and kInvalidLink for every
+  // core node.
   std::vector<LinkId> last_hop_;
-  // Node-indexed table cache: tables_[a] is anchor a's table, empty until
+  // Out-links of node n, in OutLinks order:
+  // out_arcs_[out_begin_[n] .. out_begin_[n + 1]).
+  std::vector<uint32_t> out_begin_;
+  std::vector<Arc> out_arcs_;
+  // In-links of core node c from core nodes:
+  // in_arcs_[in_begin_[c] .. in_begin_[c + 1]).
+  std::vector<uint32_t> in_begin_;
+  std::vector<Arc> in_arcs_;
+  // Core-indexed table cache: tables_[c] is anchor c's table, empty until
   // first asked for.
   std::vector<std::vector<int32_t>> tables_;
+  // Scratch reused by every call: the BFS queue (core indices) and one hop's
+  // ECMP candidates.
+  std::vector<int32_t> frontier_;
+  std::vector<LinkId> candidates_;
   // Keyed by the full (src, dst, salt) triple — PathDigest is only the
   // hasher, so a digest collision costs a bucket probe, never a wrong route.
   // Lookup-only (find/emplace by key, plus size()); nothing ever iterates it,

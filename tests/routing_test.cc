@@ -271,25 +271,29 @@ TEST(RouterTest, UnreachableContract) {
   EXPECT_FALSE(router.Route(0, 1, 0).empty());
 }
 
-// --- Per-attachment tables against the per-destination reference ---------------
+// --- Core-indexed tables against the per-destination reference --------------
 //
-// The router reads a single-homed host's hop counts from its ToR's table. The
-// reference below is the router before that change: one reverse BFS per
-// destination over usable links, then the same ECMP walk (PathDigest seed,
-// splitmix64 per-hop hash). Every route must match it bit for bit.
+// The router keeps hop tables for core nodes only and reads a stub's counts
+// through its attachment. The reference below is the router before either
+// shortcut: one reverse BFS per destination over every node and usable link,
+// then the same ECMP walk (PathDigest seed, splitmix64 per-hop hash). Every
+// route must match it bit for bit.
 
 constexpr int32_t kRefUnreachable = std::numeric_limits<int32_t>::max();
 
 std::vector<int32_t> ReferenceDistances(const Topology& topo, NodeId dst) {
+  std::vector<std::vector<LinkId>> in_links(topo.num_nodes());
+  for (LinkId l = 0; l < static_cast<LinkId>(topo.num_links()); ++l) {
+    in_links[static_cast<size_t>(topo.link(l).dst)].push_back(l);
+  }
   std::vector<int32_t> dist(topo.num_nodes(), kRefUnreachable);
   dist[static_cast<size_t>(dst)] = 0;
   std::vector<NodeId> frontier{dst};
   for (size_t i = 0; i < frontier.size(); ++i) {
     const NodeId n = frontier[i];
-    for (LinkId l = 0; l < static_cast<LinkId>(topo.num_links()); ++l) {
+    for (LinkId l : in_links[static_cast<size_t>(n)]) {
       const NodeId prev = topo.link(l).src;
-      if (topo.link(l).dst == n && topo.LinkUsable(l) &&
-          dist[static_cast<size_t>(prev)] == kRefUnreachable) {
+      if (topo.LinkUsable(l) && dist[static_cast<size_t>(prev)] == kRefUnreachable) {
         dist[static_cast<size_t>(prev)] = dist[static_cast<size_t>(n)] + 1;
         frontier.push_back(prev);
       }
@@ -319,31 +323,75 @@ std::vector<LinkId> ReferenceRoute(const Topology& topo, const std::vector<int32
   return path;
 }
 
-// Describes the first query where the router and the reference disagree, or
-// returns "" when none does. Sources are hosts; destinations are every host
-// (the attachment tables) and every switch (their own tables); salts 0-3.
-std::string FirstMismatch(const Topology& topo, Router* router) {
-  const std::vector<NodeId> hosts = topo.Hosts();
-  std::vector<NodeId> dsts = hosts;
-  for (NodeId sw : topo.Switches()) {
-    dsts.push_back(sw);
+// Describes the first disagreement between the router and the reference on
+// src -> dst, or returns "" when there is none.
+std::string Mismatch(const Topology& topo, Router* router, const std::vector<int32_t>& dist,
+                     NodeId src, NodeId dst, const std::vector<uint64_t>& salts) {
+  const std::string pair = std::to_string(src) + "->" + std::to_string(dst);
+  const bool reachable = src == dst || dist[static_cast<size_t>(src)] != kRefUnreachable;
+  if (router->Reachable(src, dst) != reachable) {
+    return "Reachable " + pair;
   }
-  for (NodeId dst : dsts) {
+  for (uint64_t salt : salts) {
+    if (router->Route(src, dst, salt) != ReferenceRoute(topo, dist, src, dst, salt)) {
+      return "Route " + pair + " salt " + std::to_string(salt);
+    }
+  }
+  return "";
+}
+
+// The first mismatch over every (src, dst) node pair, hosts and switches
+// alike, at salts 0-3, or "" when the router agrees everywhere.
+std::string FirstMismatch(const Topology& topo, Router* router) {
+  const std::vector<uint64_t> salts{0, 1, 2, 3};
+  for (NodeId dst = 0; dst < static_cast<NodeId>(topo.num_nodes()); ++dst) {
     const std::vector<int32_t> dist = ReferenceDistances(topo, dst);
-    for (NodeId src : hosts) {
-      const std::string pair = std::to_string(src) + "->" + std::to_string(dst);
-      const bool reachable = src == dst || dist[static_cast<size_t>(src)] != kRefUnreachable;
-      if (router->Reachable(src, dst) != reachable) {
-        return "Reachable " + pair;
-      }
-      for (uint64_t salt = 0; salt < 4; ++salt) {
-        if (router->Route(src, dst, salt) != ReferenceRoute(topo, dist, src, dst, salt)) {
-          return "Route " + pair + " salt " + std::to_string(salt);
-        }
+    for (NodeId src = 0; src < static_cast<NodeId>(topo.num_nodes()); ++src) {
+      const std::string mismatch = Mismatch(topo, router, dist, src, dst, salts);
+      if (!mismatch.empty()) {
+        return mismatch;
       }
     }
   }
   return "";
+}
+
+// Hosts 0-2 on one switch, host 3 wired only to host 0, and hosts 4 and 5
+// wired only to each other. Host 0 has two in-links and each of hosts 4 and
+// 5 hangs on the other, so none of the three may read an attachment's table;
+// host 3 may, through host 0.
+Topology HostsOnHosts() {
+  Topology topo;
+  for (int h = 0; h < 6; ++h) {
+    topo.AddNode(NodeKind::kHost);
+  }
+  const NodeId sw = topo.AddNode(NodeKind::kSwitch);
+  for (NodeId h = 0; h < 3; ++h) {
+    topo.AddDuplexLink(h, sw, Gbps64(10));
+  }
+  topo.AddDuplexLink(3, 0, Gbps64(10));
+  topo.AddDuplexLink(4, 5, Gbps64(10));
+  return topo;
+}
+
+// Two linked switches with hosts 0-1 on the first and 2-3 on the second, and
+// host 4 with an uplink to each. Host 4 has two in-links, so it anchors its
+// own table, and with the switch-to-switch link down it carries transit.
+Topology DualHomedHost() {
+  Topology topo;
+  for (int h = 0; h < 5; ++h) {
+    topo.AddNode(NodeKind::kHost);
+  }
+  const NodeId s0 = topo.AddNode(NodeKind::kSwitch);
+  const NodeId s1 = topo.AddNode(NodeKind::kSwitch);
+  topo.AddDuplexLink(s0, s1, Gbps64(10));
+  topo.AddDuplexLink(0, s0, Gbps64(10));
+  topo.AddDuplexLink(1, s0, Gbps64(10));
+  topo.AddDuplexLink(2, s1, Gbps64(10));
+  topo.AddDuplexLink(3, s1, Gbps64(10));
+  topo.AddDuplexLink(4, s0, Gbps64(10));
+  topo.AddDuplexLink(4, s1, Gbps64(10));
+  return topo;
 }
 
 TEST(RouterTest, MatchesPerDestinationBfsUnderRandomFailures) {
@@ -366,27 +414,22 @@ TEST(RouterTest, MatchesPerDestinationBfsUnderRandomFailures) {
                                      .hosts_per_tor = 1,
                                      .num_pods = 2})});
   fabrics.push_back({"fat-tree k=4", BuildFatTree({.k = 4})});
+  fabrics.push_back({"hosts on hosts", HostsOnHosts()});
+  fabrics.push_back({"dual-homed host", DualHomedHost()});
 
   Rng rng(19);
   for (Fabric& fabric : fabrics) {
     Topology& topo = fabric.topo;
     Router router(&topo);
     // Failure targets: every directed link (both directions of each host
-    // link), then every host, ToR and leaf.
+    // link), then every node, hosts and switches of every tier.
     const size_t num_links = topo.num_links();
-    std::vector<NodeId> nodes;
-    for (NodeId n = 0; n < static_cast<NodeId>(topo.num_nodes()); ++n) {
-      const NodeKind kind = topo.node(n).kind;
-      if (kind == NodeKind::kHost || kind == NodeKind::kTorSwitch ||
-          kind == NodeKind::kLeafSwitch) {
-        nodes.push_back(n);
-      }
-    }
+    const size_t num_targets = num_links + topo.num_nodes();
     const auto set_up = [&](size_t target, bool up) {
       if (target < num_links) {
         topo.SetLinkUp(static_cast<LinkId>(target), up);
       } else {
-        topo.SetNodeUp(nodes[target - num_links], up);
+        topo.SetNodeUp(static_cast<NodeId>(target - num_links), up);
       }
     };
 
@@ -403,14 +446,31 @@ TEST(RouterTest, MatchesPerDestinationBfsUnderRandomFailures) {
       } else {
         size_t target = 0;
         do {
-          target = static_cast<size_t>(
-              rng.UniformInt(0, static_cast<int64_t>(num_links + nodes.size()) - 1));
+          target = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(num_targets) - 1));
         } while (std::find(down.begin(), down.end(), target) != down.end());
         set_up(target, false);
         down.push_back(target);
       }
       ASSERT_EQ(FirstMismatch(topo, &router), "") << fabric.name << ", flip " << flip;
     }
+  }
+}
+
+TEST(RouterTest, MatchesPerDestinationBfsOnChurnFabricSample) {
+  // fig11-scale's 5x spine-leaf: 9,720 hosts, 540 ToRs, 510 leaves and 54
+  // spines in 30 pods. Spines have 510 out-links, so this covers the widest
+  // walk the provided benches route.
+  const Topology topo = BuildSpineLeaf(
+      {.num_spine = 54, .num_leaf = 510, .num_tor = 540, .hosts_per_tor = 18, .num_pods = 30});
+  Router router(&topo);
+  Rng rng(23);
+  const int64_t last_node = static_cast<int64_t>(topo.num_nodes()) - 1;
+  for (int query = 0; query < 300; ++query) {
+    const NodeId src = static_cast<NodeId>(rng.UniformInt(0, last_node));
+    const NodeId dst = static_cast<NodeId>(rng.UniformInt(0, last_node));
+    const std::vector<uint64_t> salts{rng.Next()};
+    ASSERT_EQ(Mismatch(topo, &router, ReferenceDistances(topo, dst), src, dst, salts), "")
+        << "query " << query;
   }
 }
 
