@@ -538,6 +538,104 @@ BENCHMARK(BM_DistributedFlush)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+// --- Controller RPCs under job churn (controller-churn's event shape) --------
+
+// One job: an application whose 32 instances sit on random hosts, each
+// connected to the next four in a ring, so up to 128 connections.
+struct ChurnBenchJob {
+  AppId app = 0;
+  std::string workload;
+  std::vector<RouteKey> conns;
+};
+
+ChurnBenchJob MakeChurnBenchJob(AppId app, const std::vector<NodeId>& hosts, int num_workloads,
+                                Rng* rng) {
+  ChurnBenchJob job;
+  job.app = app;
+  job.workload = "w" + std::to_string(rng->UniformInt(0, num_workloads - 1));
+  std::vector<NodeId> placement;
+  for (int i = 0; i < 32; ++i) {
+    placement.push_back(rng->Choice(hosts));
+  }
+  for (int i = 0; i < 32; ++i) {
+    for (int k = 1; k <= 4; ++k) {
+      const NodeId src = placement[static_cast<size_t>(i)];
+      const NodeId dst = placement[static_cast<size_t>((i + k) % 32)];
+      if (src != dst) {
+        job.conns.push_back({src, dst, rng->Next()});
+      }
+    }
+  }
+  return job;
+}
+
+// A one-shard DistributedController with a live FlowSimulator on
+// controller-churn's fabric (fig11-scale's 5x spine-leaf). 96 jobs (about
+// 12,000 connections) are live before timing starts; each iteration departs
+// one live job (conn_destroy per connection, then app_deregister), starts a
+// new one (app_register, then conn_create per connection) and settles the
+// instant, which runs one coalesced flush. Drawing the new job is timed too;
+// it costs well under 1% of an iteration. Items are RPCs.
+void BM_ControllerConnChurn(benchmark::State& state) {
+  constexpr int kWorkloads = 64;
+  constexpr int kLiveJobs = 96;
+  EventScheduler scheduler;
+  Network network(BuildSpineLeaf({.num_spine = 54,
+                                  .num_leaf = 510,
+                                  .num_tor = 540,
+                                  .hosts_per_tor = 18,
+                                  .num_pods = 30,
+                                  .host_link_bps = Gbps64(56),
+                                  .tor_leaf_bps = Gbps64(56),
+                                  .leaf_spine_bps = Gbps64(56)}),
+                  /*default_queues=*/16);
+  WfqMaxMinAllocator allocator;
+  FlowSimulator flow_sim(&scheduler, &network, &allocator);
+  Rng rng(47);
+  SensitivityTable table;
+  for (int w = 0; w < kWorkloads; ++w) {
+    SensitivityEntry entry;
+    entry.model = RandomConvexModel(3, &rng);
+    table.Put("w" + std::to_string(w), entry);
+  }
+  DistributedControllerOptions options;
+  options.num_shards = 1;
+  options.shard_jobs = 1;
+  DistributedController controller(&network, &flow_sim, &table,
+                                   MappingDatabase::Build(table, options.base.num_pls, 11),
+                                   options);
+  const std::vector<NodeId> hosts = network.topology().Hosts();
+  const auto settle = [&] { scheduler.RunUntil(scheduler.Now() + 1e-9); };
+  const auto arrive = [&](const ChurnBenchJob& job) {
+    controller.AppRegister(job.app, job.workload);
+    for (const RouteKey& conn : job.conns) {
+      controller.ConnCreate(job.app, conn.src, conn.dst, conn.salt);
+    }
+  };
+  AppId next_app = 1;
+  std::vector<ChurnBenchJob> live;
+  for (int j = 0; j < kLiveJobs; ++j) {
+    live.push_back(MakeChurnBenchJob(next_app++, hosts, kWorkloads, &rng));
+    arrive(live.back());
+    settle();
+  }
+  int64_t rpcs = 0;
+  for (auto _ : state) {
+    ChurnBenchJob& slot = live[static_cast<size_t>(rng.UniformInt(0, kLiveJobs - 1))];
+    ChurnBenchJob next = MakeChurnBenchJob(next_app++, hosts, kWorkloads, &rng);
+    for (const RouteKey& conn : slot.conns) {
+      controller.ConnDestroy(slot.app, conn.src, conn.dst, conn.salt);
+    }
+    controller.AppDeregister(slot.app);
+    arrive(next);
+    settle();
+    rpcs += static_cast<int64_t>(slot.conns.size() + next.conns.size()) + 2;
+    slot = std::move(next);
+  }
+  state.SetItemsProcessed(rpcs);
+}
+BENCHMARK(BM_ControllerConnChurn)->Unit(benchmark::kMillisecond);
+
 // --- Sweep engine --------------------------------------------------------------
 
 // Per-task overhead of the deterministic sweep pool: trivial tasks, so the

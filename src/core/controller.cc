@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/net/routing.h"
 #include "src/sim/log.h"
 #include "src/sim/wallclock.h"
 
@@ -22,6 +23,15 @@ CentralizedController::CentralizedController(Network* network, FlowSimulator* fl
   assert(table_ != nullptr);
   assert(options_.num_pls >= 1 && options_.num_pls <= kNumServiceLevels);
   assert(options_.reserved_queues >= 0);
+  const size_t num_links = network_->topology().num_links();
+  port_apps_.resize(num_links);
+  port_dirty_.assign(num_links, 0);
+}
+
+size_t CentralizedController::ConnKeyHash::operator()(const ConnKey& key) const {
+  const auto& [app, src, dst, salt] = key;
+  return static_cast<size_t>(PathDigest(src, dst, salt) ^
+                             (static_cast<uint64_t>(app) * 0x9e3779b97f4a7c15ULL));
 }
 
 int CentralizedController::AppRegister(AppId app, const std::string& workload_name) {
@@ -42,6 +52,8 @@ int CentralizedController::AppRegister(AppId app, const std::string& workload_na
 void CentralizedController::AppDeregister(AppId app) {
   auto it = apps_.find(app);
   assert(it != apps_.end());
+  // No port lists an application without connections, so no PortApp points
+  // at the node erased here.
   assert(it->second.connections == 0 && "deregistering with live connections");
   ++stats_.deregistrations;
   apps_.erase(it);
@@ -56,18 +68,24 @@ void CentralizedController::ConnCreate(AppId app, NodeId src, NodeId dst, uint64
   auto it = apps_.find(app);
   assert(it != apps_.end() && "connection from unregistered application");
   ++stats_.conn_creates;
-  ++it->second.connections;
+  AppState& state = it->second;
+  ++state.connections;
 
   const std::vector<LinkId>& path = network_->router().Route(src, dst, path_salt);
-  std::vector<LinkId> dirty;
   for (LinkId link : path) {
-    port_apps_[link][app] += 1;
-    dirty.push_back(link);
+    std::vector<PortApp>& apps = port_apps_[static_cast<size_t>(link)];
+    auto pos = std::lower_bound(apps.begin(), apps.end(), app,
+                                [](const PortApp& entry, AppId a) { return entry.app < a; });
+    if (pos == apps.end() || pos->app != app) {
+      pos = apps.insert(pos, PortApp{app, 0, &state});
+    }
+    ++pos->count;
+    MarkPortDirty(link);
   }
   // Snapshot the accounted path: a later failure may reroute this pair, and
   // ConnDestroy must release exactly these ports (see conn_paths_).
-  conn_paths_[std::make_tuple(app, src, dst, path_salt)].push_back(path);
-  MarkPortsDirty(dirty);
+  conn_paths_[ConnKey(app, src, dst, path_salt)].push_back(path);
+  RequestFlush();
 }
 
 void CentralizedController::ConnDestroy(AppId app, NodeId src, NodeId dst, uint64_t path_salt) {
@@ -79,30 +97,28 @@ void CentralizedController::ConnDestroy(AppId app, NodeId src, NodeId dst, uint6
 
   // Unwind the ports charged at create time — not today's route, which may
   // differ after a failure (see conn_paths_).
-  const auto conn_it = conn_paths_.find(std::make_tuple(app, src, dst, path_salt));
+  const auto conn_it = conn_paths_.find(ConnKey(app, src, dst, path_salt));
   assert(conn_it != conn_paths_.end() && "destroying a connection that was never created");
   const std::vector<LinkId> path = std::move(conn_it->second.back());
   conn_it->second.pop_back();
   if (conn_it->second.empty()) {
     conn_paths_.erase(conn_it);
   }
-  std::vector<LinkId> dirty;
   for (LinkId link : path) {
-    auto port_it = port_apps_.find(link);
-    assert(port_it != port_apps_.end());
-    auto app_it = port_it->second.find(app);
-    assert(app_it != port_it->second.end());
-    if (--app_it->second == 0) {
-      port_it->second.erase(app_it);
+    std::vector<PortApp>& apps = port_apps_[static_cast<size_t>(link)];
+    auto pos = std::lower_bound(apps.begin(), apps.end(), app,
+                                [](const PortApp& entry, AppId a) { return entry.app < a; });
+    assert(pos != apps.end() && pos->app == app);
+    if (--pos->count == 0) {
+      apps.erase(pos);
     }
-    if (port_it->second.empty()) {
-      port_apps_.erase(port_it);
+    if (apps.empty()) {
       port_weights_.erase(link);
     } else {
-      dirty.push_back(link);
+      MarkPortDirty(link);
     }
   }
-  MarkPortsDirty(dirty);
+  RequestFlush();
 }
 
 void CentralizedController::RegisterAppStatic(AppId app, const std::string& workload_name,
@@ -148,16 +164,19 @@ void CentralizedController::ReclusterPls() {
   solve_ctx_.mapper.emplace(mapping.pl_models, options_.solve_cache);
 
   // PL geometry changed; every active port needs a fresh mapping.
-  std::vector<LinkId> dirty;
-  dirty.reserve(port_apps_.size());
-  for (const auto& [link, counts] : port_apps_) {
-    dirty.push_back(link);
-  }
-  MarkPortsDirty(dirty);
+  MarkActivePortsDirty();
+  RequestFlush();
 }
 
-void CentralizedController::MarkPortsDirty(const std::vector<LinkId>& links) {
-  dirty_ports_.insert(links.begin(), links.end());
+void CentralizedController::MarkActivePortsDirty() {
+  for (size_t link = 0; link < port_apps_.size(); ++link) {
+    if (!port_apps_[link].empty()) {
+      MarkPortDirty(static_cast<LinkId>(link));
+    }
+  }
+}
+
+void CentralizedController::RequestFlush() {
   if (flow_sim_ == nullptr) {
     FlushDirtyPorts();
     return;
@@ -193,12 +212,12 @@ void CentralizedController::FlushDirtyPorts() {
     return;
   }
   Stopwatch watch;
-  // Ascending link order: deterministic across platforms (unordered_set
-  // iteration order is implementation-defined) and cache-friendly. Results
-  // do not depend on it — solves are keyed by signature, not history.
-  flush_order_.assign(dirty_ports_.begin(), dirty_ports_.end());
-  std::sort(flush_order_.begin(), flush_order_.end());
-  for (LinkId link : flush_order_) {
+  // Ascending link order: independent of marking order, and cache-friendly.
+  // Results do not depend on it — solves are keyed by signature, not
+  // history.
+  std::sort(dirty_ports_.begin(), dirty_ports_.end());
+  for (LinkId link : dirty_ports_) {
+    port_dirty_[static_cast<size_t>(link)] = 0;
     ReallocatePort(link, &solve_ctx_);
   }
   dirty_ports_.clear();
@@ -207,8 +226,8 @@ void CentralizedController::FlushDirtyPorts() {
 }
 
 void CentralizedController::ReallocatePort(LinkId link, PortSolveContext* ctx) {
-  auto port_it = port_apps_.find(link);
-  if (port_it == port_apps_.end() || port_it->second.empty()) {
+  const std::vector<PortApp>& apps = port_apps_[static_cast<size_t>(link)];
+  if (apps.empty()) {
     return;
   }
   assert(ctx->mapper.has_value());
@@ -228,11 +247,10 @@ void CentralizedController::ReallocatePort(LinkId link, PortSolveContext* ctx) {
   ids.clear();
   models.clear();
   app_pls.clear();
-  for (const auto& [app, count] : port_it->second) {
-    const AppState& state = apps_.at(app);
-    ids.push_back(app);
-    models.push_back(&state.model);
-    app_pls.push_back(state.pl);
+  for (const PortApp& entry : apps) {
+    ids.push_back(entry.app);
+    models.push_back(&entry.state->model);
+    app_pls.push_back(entry.state->pl);
   }
   const size_t n = ids.size();
 
@@ -315,9 +333,7 @@ void CentralizedController::ReallocatePort(LinkId link, PortSolveContext* ctx) {
 }
 
 double CentralizedController::RecomputeAllPortsTimed() {
-  for (const auto& [link, counts] : port_apps_) {
-    dirty_ports_.insert(link);
-  }
+  MarkActivePortsDirty();
   if (dirty_ports_.empty()) {
     stats_.last_calc_wall_seconds = 0;
     return 0;
@@ -325,7 +341,7 @@ double CentralizedController::RecomputeAllPortsTimed() {
   // The virtual flush, so the distributed controller's sharded fan-out is
   // what gets timed (the Fig 12 "calculation time" and the scale bench both
   // land here). Any flush already pending for these ports is absorbed: the
-  // scheduled callback later finds an empty dirty set and no-ops.
+  // scheduled callback later finds an empty dirty list and no-ops.
   FlushDirtyPorts();
   return stats_.last_calc_wall_seconds;
 }

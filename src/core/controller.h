@@ -9,12 +9,12 @@
 #ifndef SRC_CORE_CONTROLLER_H_
 #define SRC_CORE_CONTROLLER_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/pl_mapper.h"
@@ -167,6 +167,15 @@ class CentralizedController : public ControllerInterface {
     int connections = 0;
   };
 
+  // One application's live connections through a port. `state` points into
+  // apps_, a std::map whose nodes never move; an application leaves apps_
+  // only with zero connections, when no port lists it any more.
+  struct PortApp {
+    AppId app;
+    int count;
+    const AppState* state;
+  };
+
   // Re-runs application-to-PL K-means and rebuilds the PL hierarchy; retags
   // live flows; refreshes every active port.
   void ReclusterPls();
@@ -178,12 +187,22 @@ class CentralizedController : public ControllerInterface {
   // DistributedController::FlushDirtyPorts).
   void ReallocatePort(LinkId link, PortSolveContext* ctx);
 
-  // Marks ports for recomputation. With a live flow simulator the flush is
+  // Adds `link` to the dirty list unless it is already there.
+  void MarkPortDirty(LinkId link) {
+    uint8_t& flag = port_dirty_[static_cast<size_t>(link)];
+    if (flag == 0) {
+      flag = 1;
+      dirty_ports_.push_back(link);
+    }
+  }
+  // Marks every port that carries a live connection.
+  void MarkActivePortsDirty();
+  // Flushes the dirty ports. With a live flow simulator the flush is
   // coalesced to the end of the current simulated instant (a burst of
   // conn_create calls — e.g. a whole job starting — costs one recompute per
   // port); offline it is synchronous.
-  void MarkPortsDirty(const std::vector<LinkId>& links);
-  // Reallocates every dirty port and clears the dirty set. Virtual so the
+  void RequestFlush();
+  // Reallocates every dirty port and empties the dirty list. Virtual so the
   // distributed controller can fan the batch across its shard workers; every
   // override must program byte-identical state to this serial walk.
   virtual void FlushDirtyPorts();
@@ -205,20 +224,23 @@ class CentralizedController : public ControllerInterface {
   ControllerStats stats_;
 
   std::map<AppId, AppState> apps_;
-  // Per port: connection count per application. Iterated only to harvest
-  // keys, which are always sorted (directly or via dirty_ports_) before any
-  // order-sensitive use; solves are keyed by signature, not visit order.
-  // saba-lint: unordered-iter-ok(keys sorted before every order-sensitive use)
-  std::unordered_map<LinkId, std::map<AppId, int>> port_apps_;
-  // Path each live connection was accounted under, keyed by the connection
-  // tuple (LIFO per tuple for duplicates). ConnDestroy must unwind exactly
-  // the ports ConnCreate charged: re-resolving at destroy time would corrupt
-  // port_apps_ whenever a failure rerouted the pair in between. Connections
-  // rerouted mid-life stay accounted at their create-time ports until they
-  // close — the real controller polls forwarding state periodically (§7.2),
-  // so bounded staleness is faithful.
-  std::map<std::tuple<AppId, NodeId, NodeId, uint64_t>, std::vector<std::vector<LinkId>>>
-      conn_paths_;
+  // port_apps_[link]: the applications with live connections through `link`,
+  // ascending by AppId (the order ReallocatePort reads them in). One entry
+  // per topology link; an idle port's list is empty.
+  std::vector<std::vector<PortApp>> port_apps_;
+  // Connection tuple -> the paths its live connections were charged under,
+  // LIFO for duplicates. ConnDestroy must unwind exactly the ports ConnCreate
+  // charged: re-resolving at destroy time would corrupt port_apps_ whenever a
+  // failure rerouted the pair in between. Connections rerouted mid-life stay
+  // accounted at their create-time ports until they close — the real
+  // controller polls forwarding state periodically (§7.2), so bounded
+  // staleness is faithful.
+  using ConnKey = std::tuple<AppId, NodeId, NodeId, uint64_t>;
+  struct ConnKeyHash {
+    size_t operator()(const ConnKey& key) const;
+  };
+  // saba-lint: unordered-iter-ok(lookup-only: find/emplace/erase by key, never iterated)
+  std::unordered_map<ConnKey, std::vector<std::vector<LinkId>>, ConnKeyHash> conn_paths_;
   // Per port: last solved per-application weights, sorted by AppId (a flat
   // vector rather than a map — rebuilt wholesale on every reallocation, so
   // node-based storage would be pure overhead on the hot path).
@@ -228,11 +250,11 @@ class CentralizedController : public ControllerInterface {
   // ReallocatePort scratch. Shard contexts live in DistributedController,
   // whose flush never touches this one.
   PortSolveContext solve_ctx_;
-  // FlushDirtyPorts copies into a vector and sorts ascending before
-  // reallocating (see the comment there), so set order never leaks out.
-  // saba-lint: unordered-iter-ok(flush sorts the links before reallocating)
-  std::unordered_set<LinkId> dirty_ports_;
-  std::vector<LinkId> flush_order_;  // Scratch for the serial flush walk.
+  // The ports awaiting the next flush, in marking order (each flush sorts
+  // them), and a per-link flag that keeps each port on the list once. Only
+  // a flush's calling thread clears them; flush workers never touch either.
+  std::vector<LinkId> dirty_ports_;
+  std::vector<uint8_t> port_dirty_;
   bool flush_scheduled_ = false;
 };
 

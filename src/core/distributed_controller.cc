@@ -163,7 +163,9 @@ int DistributedController::AppRegister(AppId app, const std::string& workload_na
 void DistributedController::AppDeregister(AppId app) {
   auto it = apps_.find(app);
   assert(it != apps_.end());
-  assert(it->second.connections == 0);
+  // No port lists an application without connections, so no PortApp points
+  // at the node erased here.
+  assert(it->second.connections == 0 && "deregistering with live connections");
   ++stats_.deregistrations;
   apps_.erase(it);
   // No re-clustering: the PL geometry is fixed by the offline database.
@@ -175,14 +177,16 @@ void DistributedController::FlushDirtyPorts() {
   }
   Stopwatch watch;
 
-  // Batch the delta stream per owning shard. The dirty set is unordered
-  // (annotated at its declaration); each shard's batch is sorted ascending
-  // below, and results cannot depend on visit order anyway — solves are
-  // keyed by signature, ports are disjoint across shards.
+  // Batch the delta stream per owning shard, clearing the dirty flags here on
+  // the calling thread: the workers below read only port_apps_ and apps_.
+  // Each shard's batch is sorted ascending, and results cannot depend on
+  // visit order anyway — solves are keyed by signature, ports are disjoint
+  // across shards.
   for (std::vector<LinkId>& batch : shard_ports_) {
     batch.clear();
   }
   for (LinkId link : dirty_ports_) {
+    port_dirty_[static_cast<size_t>(link)] = 0;
     shard_ports_[static_cast<size_t>(ShardOfPort(link))].push_back(link);
   }
   dirty_ports_.clear();
@@ -199,16 +203,6 @@ void DistributedController::FlushDirtyPorts() {
     dirty_count += batch.size();
   }
 
-  // Pre-create each active port's weight slot serially: the workers then
-  // only rewrite per-port vectors, never the shared map's structure.
-  for (const int s : dirty_shards_) {
-    for (const LinkId link : shard_ports_[static_cast<size_t>(s)]) {
-      if (port_apps_.find(link) != port_apps_.end()) {
-        (void)port_weights_[link];
-      }
-    }
-  }
-
   ++dist_stats_.flushes;
   dist_stats_.ports_flushed += dirty_count;
 
@@ -220,6 +214,15 @@ void DistributedController::FlushDirtyPorts() {
       shard_jobs_ > 1 && dirty_shards_.size() > 1 && dirty_count >= kMinParallelFlushPorts;
   if (fan_out) {
     ++dist_stats_.parallel_flushes;
+    // Pre-create each active port's weight slot serially: the workers then
+    // only rewrite per-port vectors, never the shared map's structure.
+    for (const int s : dirty_shards_) {
+      for (const LinkId link : shard_ports_[static_cast<size_t>(s)]) {
+        if (!port_apps_[static_cast<size_t>(link)].empty()) {
+          (void)port_weights_[link];
+        }
+      }
+    }
     if (pool_ == nullptr) {
       pool_ = std::make_unique<WorkerPool>(shard_jobs_);
     }

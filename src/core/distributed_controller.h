@@ -103,7 +103,7 @@ class DistributedController : public CentralizedController {
   int num_shards() const { return num_shards_; }
 
  protected:
-  // Partitions the dirty set by owning shard and reallocates each shard's
+  // Partitions the dirty list by owning shard and reallocates each shard's
   // batch with that shard's own solve context — on the worker pool when the
   // batch is big enough (see kMinParallelFlushPorts), inline otherwise.
   void FlushDirtyPorts() override;

@@ -8,6 +8,9 @@ namespace saba {
 namespace {
 
 constexpr int32_t kUnreachable = std::numeric_limits<int32_t>::max();
+// A hop-table level goes bottom-up when its frontier has more than
+// 1/kBottomUpFactor of the unvisited nodes' arcs (Router::TableFor).
+constexpr uint64_t kBottomUpFactor = 14;
 
 // splitmix64 finalizer.
 uint64_t Mix64(uint64_t z) {
@@ -64,11 +67,20 @@ Router::Router(const Topology* topo) : topo_(topo) {
   out_begin_.reserve(num_nodes + 1);
   out_begin_.push_back(0);
   out_arcs_.reserve(static_cast<size_t>(num_links));
+  core_out_.reserve(static_cast<size_t>(num_core));
   for (size_t n = 0; n < num_nodes; ++n) {
     for (LinkId l : topo_->OutLinks(static_cast<NodeId>(n))) {
       out_arcs_.push_back({l, core_of(topo_->link(l).dst)});
     }
-    out_begin_.push_back(static_cast<uint32_t>(out_arcs_.size()));
+    const uint32_t end = static_cast<uint32_t>(out_arcs_.size());
+    if (core_index_[n] != kStub) {
+      uint32_t first = out_begin_.back();
+      while (first < end && out_arcs_[first].core == kStub) {
+        ++first;
+      }
+      core_out_.push_back({first, end});
+    }
+    out_begin_.push_back(end);
   }
 
   // Core-to-core links grouped by head, in link id order within a head.
@@ -137,6 +149,15 @@ int32_t Router::HopsFrom(NodeId n, const HopsTo& to) const {
   return d == kUnreachable ? kUnreachable : d + extra_hops;
 }
 
+uint32_t Router::InDegree(int32_t core) const {
+  return in_begin_[static_cast<size_t>(core) + 1] - in_begin_[static_cast<size_t>(core)];
+}
+
+uint32_t Router::OutDegree(int32_t core) const {
+  const CoreArcs& arcs = core_out_[static_cast<size_t>(core)];
+  return arcs.end - arcs.first;
+}
+
 const std::vector<int32_t>& Router::TableFor(int32_t anchor) {
   std::vector<int32_t>& dist = tables_[static_cast<size_t>(anchor)];
   if (!dist.empty()) {
@@ -145,18 +166,70 @@ const std::vector<int32_t>& Router::TableFor(int32_t anchor) {
   dist.assign(tables_.size(), kUnreachable);
   dist[static_cast<size_t>(anchor)] = 0;
   frontier_.assign(1, anchor);
-  for (size_t i = 0; i < frontier_.size(); ++i) {
-    const size_t c = static_cast<size_t>(frontier_[i]);
-    const int32_t prev_hops = dist[c] + 1;
-    for (uint32_t k = in_begin_[c]; k < in_begin_[c + 1]; ++k) {
-      // The visited test goes first: on a spine-leaf most in-links lead back
-      // to nodes already reached, and it reads no endpoint up flags.
-      const Arc& arc = in_arcs_[k];
-      if (dist[static_cast<size_t>(arc.core)] == kUnreachable && topo_->LinkUsable(arc.link)) {
-        dist[static_cast<size_t>(arc.core)] = prev_hops;
-        frontier_.push_back(arc.core);
-      }
+  // The arcs each direction would scan to expand the frontier: top-down reads
+  // the frontier's in-arcs, bottom-up at most the unvisited nodes' out-arcs
+  // from their first core head on. A node with none can never be reached, so
+  // the BFS stops once the unvisited nodes have none between them.
+  uint64_t frontier_arcs = InDegree(anchor);
+  uint64_t unvisited_arcs = 0;
+  unvisited_.clear();
+  for (int32_t c = 0; c < static_cast<int32_t>(tables_.size()); ++c) {
+    if (c != anchor) {
+      unvisited_.push_back(c);
+      unvisited_arcs += OutDegree(c);
     }
+  }
+  for (int32_t hops = 1; !frontier_.empty() && unvisited_arcs > 0; ++hops) {
+    next_.clear();
+    // Bottom-up usually stops long before it has scanned every unvisited
+    // node's arcs, so it wins once the frontier's arcs exceed a fraction of
+    // theirs: Beamer et al.'s alpha of 14.
+    if (frontier_arcs * kBottomUpFactor <= unvisited_arcs) {
+      // Top-down: each frontier node claims its unvisited in-neighbours.
+      for (const int32_t c : frontier_) {
+        const size_t first = in_begin_[static_cast<size_t>(c)];
+        const size_t last = in_begin_[static_cast<size_t>(c) + 1];
+        for (size_t k = first; k < last; ++k) {
+          // The visited test goes first: on a spine-leaf most in-links lead
+          // back to nodes already reached, and it reads no endpoint up flags.
+          const Arc& arc = in_arcs_[k];
+          if (dist[static_cast<size_t>(arc.core)] == kUnreachable && topo_->LinkUsable(arc.link)) {
+            dist[static_cast<size_t>(arc.core)] = hops;
+            next_.push_back(arc.core);
+          }
+        }
+      }
+    } else {
+      // Bottom-up: each unvisited node looks for one usable out-arc into the
+      // frontier and stops at the first. Nodes that top-down levels reached
+      // leave the list here.
+      size_t kept = 0;
+      for (const int32_t c : unvisited_) {
+        if (dist[static_cast<size_t>(c)] != kUnreachable) {
+          continue;
+        }
+        const CoreArcs& arcs = core_out_[static_cast<size_t>(c)];
+        bool reached = false;
+        for (uint32_t i = arcs.first; i < arcs.end && !reached; ++i) {
+          const Arc& arc = out_arcs_[i];
+          reached = arc.core != kStub && dist[static_cast<size_t>(arc.core)] == hops - 1 &&
+                    topo_->LinkUsable(arc.link);
+        }
+        if (reached) {
+          dist[static_cast<size_t>(c)] = hops;
+          next_.push_back(c);
+        } else {
+          unvisited_[kept++] = c;
+        }
+      }
+      unvisited_.resize(kept);
+    }
+    frontier_arcs = 0;
+    for (const int32_t c : next_) {
+      frontier_arcs += InDegree(c);
+      unvisited_arcs -= OutDegree(c);
+    }
+    frontier_.swap(next_);
   }
   return dist;
 }
@@ -177,6 +250,7 @@ const std::vector<LinkId>& Router::Route(NodeId src, NodeId dst, uint64_t salt) 
     const HopsTo to = DistancesTo(dst);
     int32_t hops = HopsFrom(src, to);
     if (hops != kUnreachable) {
+      path.reserve(static_cast<size_t>(hops));
       const std::vector<int32_t>& table = *to.table;
       for (NodeId u = src; u != dst; u = topo_->link(path.back()).dst) {
         // Collect all usable next hops one hop closer. The hop test goes

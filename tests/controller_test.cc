@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "src/core/distributed_controller.h"
 #include "src/net/units.h"
 #include "src/sim/event_scheduler.h"
+#include "src/sim/rng.h"
 
 namespace saba {
 namespace {
@@ -222,6 +230,212 @@ TEST_F(ControllerTest, OfflineModeWorksWithoutFlowSimulator) {
   controller.ConnCreate(1, 0, 1, 0);  // Synchronous flush.
   const LinkId first_hop = network_.topology().FindLink(0, 4);
   EXPECT_GT(controller.AppWeightAtPort(first_hop, 1), 0);
+}
+
+// --- Connection bookkeeping under churn --------------------------------------
+//
+// A seeded stream of RPCs on a small spine-leaf, checked after every call
+// against a reference built from the create-time routes: an application has
+// a solved weight at a port exactly while one of its live connections was
+// charged there. The stream repeats (app, src, dst, salt) tuples, uses
+// sparse AppIds, fails and restores links and switches while connections are
+// live (so a destroy can meet a route that moved since its create), and
+// deregisters and re-registers ids. With no flow simulator every RPC flushes
+// at once.
+
+using ConnTuple = std::tuple<AppId, NodeId, NodeId, uint64_t>;
+
+struct ChurnCoverage {
+  int duplicate_creates = 0;
+  int rerouted_destroys = 0;
+  int reregistrations = 0;
+};
+
+class BookkeepingChurnTest : public ::testing::Test {
+ protected:
+  BookkeepingChurnTest()
+      : network_(BuildSpineLeaf({.num_spine = 4,
+                                 .num_leaf = 4,
+                                 .num_tor = 8,
+                                 .hosts_per_tor = 3,
+                                 .num_pods = 2}),
+                 /*default_queues=*/4) {
+    const std::vector<std::pair<std::string, Polynomial>> entries = {
+        {"steep", Polynomial({5.0, -4.0})},
+        {"flat", Polynomial({1.2, -0.2})},
+        {"quad", Polynomial({2.9, -2.5, 0.6})},
+    };
+    for (const auto& [name, poly] : entries) {
+      SensitivityEntry entry;
+      entry.model = SensitivityModel{poly};
+      table_.Put(name, entry);
+    }
+  }
+
+  // Runs the stream against `controller`; returns the first disagreement with
+  // the reference, or "" when there is none.
+  std::string RunChurn(CentralizedController* controller, uint64_t seed, ChurnCoverage* coverage);
+
+  Network network_;
+  SensitivityTable table_;
+};
+
+std::string BookkeepingChurnTest::RunChurn(CentralizedController* controller, uint64_t seed,
+                                           ChurnCoverage* coverage) {
+  Topology& topo = network_.topology();
+  Rng rng(seed);
+  const std::vector<AppId> ids = {5, 1 << 20, 9, 1 << 30};
+  const std::vector<std::string> workloads = {"steep", "flat", "quad"};
+  const std::vector<NodeId> hosts = topo.Hosts();
+  // Failure targets: every switch-to-switch link and every leaf and spine.
+  std::vector<LinkId> fabric_links;
+  for (LinkId l = 0; l < static_cast<LinkId>(topo.num_links()); ++l) {
+    const Link& link = topo.link(l);
+    if (IsSwitch(topo.node(link.src).kind) && IsSwitch(topo.node(link.dst).kind)) {
+      fabric_links.push_back(l);
+    }
+  }
+  std::vector<NodeId> fabric_switches;
+  for (NodeId n = 0; n < static_cast<NodeId>(topo.num_nodes()); ++n) {
+    const NodeKind kind = topo.node(n).kind;
+    if (kind == NodeKind::kLeafSwitch || kind == NodeKind::kSpineSwitch) {
+      fabric_switches.push_back(n);
+    }
+  }
+
+  std::map<LinkId, std::map<AppId, int>> ref;
+  std::map<ConnTuple, std::vector<std::vector<LinkId>>> snapshots;
+  std::vector<ConnTuple> live;  // One entry per live connection.
+  std::vector<LinkId> down_links;
+  std::vector<NodeId> down_switches;
+
+  const auto mismatch = [&](const std::string& call) -> std::string {
+    for (LinkId l = 0; l < static_cast<LinkId>(topo.num_links()); ++l) {
+      const auto port = ref.find(l);
+      for (AppId app : ids) {
+        const bool charged = port != ref.end() && port->second.count(app) > 0;
+        if ((controller->AppWeightAtPort(l, app) > 0) != charged) {
+          return "after " + call + ": app " + std::to_string(app) + " at link " +
+                 std::to_string(l) + (charged ? " has no weight" : " still has a weight");
+        }
+      }
+    }
+    return "";
+  };
+  const auto create = [&](const ConnTuple& conn) {
+    const auto& [app, src, dst, salt] = conn;
+    const std::vector<LinkId> path = network_.router().Route(src, dst, salt);
+    controller->ConnCreate(app, src, dst, salt);
+    for (LinkId l : path) {
+      ++ref[l][app];
+    }
+    snapshots[conn].push_back(path);
+    live.push_back(conn);
+    return mismatch("create");
+  };
+  const auto destroy = [&](size_t index) {
+    const ConnTuple conn = live[index];
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+    const auto& [app, src, dst, salt] = conn;
+    std::vector<std::vector<LinkId>>& stack = snapshots[conn];
+    const std::vector<LinkId> path = stack.back();
+    stack.pop_back();
+    if (network_.router().Route(src, dst, salt) != path) {
+      ++coverage->rerouted_destroys;
+    }
+    controller->ConnDestroy(app, src, dst, salt);
+    for (LinkId l : path) {
+      if (--ref[l][app] == 0) {
+        ref[l].erase(app);
+      }
+    }
+    return mismatch("destroy");
+  };
+
+  for (size_t i = 0; i < ids.size(); ++i) {
+    controller->AppRegister(ids[i], workloads[i % workloads.size()]);
+  }
+  std::string error;
+  for (int step = 0; step < 500 && error.empty(); ++step) {
+    const int64_t op = rng.UniformInt(0, 99);
+    if (op < 45 || live.empty()) {
+      ConnTuple conn;
+      if (!live.empty() && rng.Bernoulli(0.25)) {
+        conn = rng.Choice(live);
+        ++coverage->duplicate_creates;
+      } else {
+        const NodeId src = rng.Choice(hosts);
+        NodeId dst = src;
+        while (dst == src) {
+          dst = rng.Choice(hosts);
+        }
+        conn = ConnTuple(rng.Choice(ids), src, dst, static_cast<uint64_t>(rng.UniformInt(0, 3)));
+      }
+      error = create(conn);
+    } else if (op < 80) {
+      const int64_t last = static_cast<int64_t>(live.size()) - 1;
+      error = destroy(static_cast<size_t>(rng.UniformInt(0, last)));
+    } else if (op < 95) {
+      // Restore something when two targets are down, or half the time.
+      const size_t num_down = down_links.size() + down_switches.size();
+      if (num_down >= 2 || (num_down > 0 && rng.Bernoulli(0.5))) {
+        if (!down_links.empty()) {
+          topo.SetLinkUp(down_links.back(), true);
+          down_links.pop_back();
+        } else {
+          topo.SetNodeUp(down_switches.back(), true);
+          down_switches.pop_back();
+        }
+      } else if (rng.Bernoulli(0.7)) {
+        down_links.push_back(rng.Choice(fabric_links));
+        topo.SetLinkUp(down_links.back(), false);
+      } else {
+        down_switches.push_back(rng.Choice(fabric_switches));
+        topo.SetNodeUp(down_switches.back(), false);
+      }
+      error = mismatch("a failure flip");
+    } else {
+      // Close every connection of one id, then deregister and re-register it.
+      const AppId app = rng.Choice(ids);
+      for (size_t i = live.size(); i-- > 0 && error.empty();) {
+        if (std::get<0>(live[i]) == app) {
+          error = destroy(i);
+        }
+      }
+      if (error.empty()) {
+        controller->AppDeregister(app);
+        controller->AppRegister(app, rng.Choice(workloads));
+        ++coverage->reregistrations;
+        error = mismatch("re-registration");
+      }
+    }
+  }
+  while (error.empty() && !live.empty()) {
+    error = destroy(live.size() - 1);
+  }
+  return error;
+}
+
+TEST_F(BookkeepingChurnTest, CentralizedMatchesCreateTimeRoutes) {
+  CentralizedController controller(&network_, /*flow_sim=*/nullptr, &table_, {});
+  ChurnCoverage coverage;
+  EXPECT_EQ(RunChurn(&controller, 29, &coverage), "");
+  EXPECT_GT(coverage.duplicate_creates, 0);
+  EXPECT_GT(coverage.rerouted_destroys, 0);
+  EXPECT_GT(coverage.reregistrations, 0);
+}
+
+TEST_F(BookkeepingChurnTest, DistributedMatchesCreateTimeRoutes) {
+  DistributedControllerOptions options;
+  options.num_shards = 3;
+  DistributedController controller(&network_, /*flow_sim=*/nullptr, &table_,
+                                   MappingDatabase::Build(table_, options.base.num_pls, 11),
+                                   options);
+  ChurnCoverage coverage;
+  EXPECT_EQ(RunChurn(&controller, 31, &coverage), "");
+  EXPECT_GT(coverage.duplicate_creates, 0);
+  EXPECT_GT(coverage.rerouted_destroys, 0);
+  EXPECT_GT(coverage.reregistrations, 0);
 }
 
 }  // namespace

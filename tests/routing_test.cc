@@ -459,19 +459,88 @@ TEST(RouterTest, MatchesPerDestinationBfsUnderRandomFailures) {
 TEST(RouterTest, MatchesPerDestinationBfsOnChurnFabricSample) {
   // fig11-scale's 5x spine-leaf: 9,720 hosts, 540 ToRs, 510 leaves and 54
   // spines in 30 pods. Spines have 510 out-links, so this covers the widest
-  // walk the provided benches route.
-  const Topology topo = BuildSpineLeaf(
-      {.num_spine = 54, .num_leaf = 510, .num_tor = 540, .hosts_per_tor = 18, .num_pods = 30});
+  // walk the provided benches route. The failure rounds below make the hop
+  // tables' BFS meet unusable arcs and nodes it can never reach, in both its
+  // top-down and its bottom-up levels.
+  const SpineLeafParams params{
+      .num_spine = 54, .num_leaf = 510, .num_tor = 540, .hosts_per_tor = 18, .num_pods = 30};
+  Topology topo = BuildSpineLeaf(params);
   Router router(&topo);
   Rng rng(23);
   const int64_t last_node = static_cast<int64_t>(topo.num_nodes()) - 1;
-  for (int query = 0; query < 300; ++query) {
-    const NodeId src = static_cast<NodeId>(rng.UniformInt(0, last_node));
-    const NodeId dst = static_cast<NodeId>(rng.UniformInt(0, last_node));
-    const std::vector<uint64_t> salts{rng.Next()};
-    ASSERT_EQ(Mismatch(topo, &router, ReferenceDistances(topo, dst), src, dst, salts), "")
-        << "query " << query;
+  // Sources drawn from here half the time: the failed switches and the nodes
+  // the failures cut off.
+  std::vector<NodeId> touched;
+  const auto run_queries = [&](const std::string& round, int num_queries) {
+    for (int query = 0; query < num_queries; ++query) {
+      const NodeId src = !touched.empty() && rng.Bernoulli(0.5)
+                             ? rng.Choice(touched)
+                             : static_cast<NodeId>(rng.UniformInt(0, last_node));
+      const NodeId dst = static_cast<NodeId>(rng.UniformInt(0, last_node));
+      const std::vector<uint64_t> salts{rng.Next()};
+      const std::string mismatch =
+          Mismatch(topo, &router, ReferenceDistances(topo, dst), src, dst, salts);
+      if (!mismatch.empty()) {
+        return round + ", query " + std::to_string(query) + ": " + mismatch;
+      }
+    }
+    return std::string();
+  };
+  ASSERT_EQ(run_queries("no failures", 300), "");
+
+  // Node ids: hosts, then ToRs, leaves and spines (BuildSpineLeaf's order).
+  const NodeId first_tor = params.num_tor * params.hosts_per_tor;
+  const NodeId first_leaf = first_tor + params.num_tor;
+  const NodeId first_spine = first_leaf + params.num_leaf;
+  std::vector<LinkId> down_links;
+  std::vector<NodeId> down_nodes;
+  // 2% of the directed ToR-leaf and leaf-spine links, plus every uplink of
+  // one ToR, which cuts that ToR and its hosts off from the rest.
+  const NodeId cut_tor = first_tor + static_cast<NodeId>(rng.UniformInt(0, params.num_tor - 1));
+  for (LinkId l = 0; l < static_cast<LinkId>(topo.num_links()); ++l) {
+    const Link& link = topo.link(l);
+    if (link.src < first_tor || link.dst < first_tor) {
+      continue;
+    }
+    if (link.src == cut_tor || rng.Bernoulli(0.02)) {
+      topo.SetLinkUp(l, false);
+      down_links.push_back(l);
+    }
   }
+  touched.push_back(cut_tor);
+  touched.push_back(static_cast<NodeId>(cut_tor - first_tor) * params.hosts_per_tor);
+  ASSERT_EQ(run_queries("random links down", 200), "");
+
+  const NodeId spine = first_spine + static_cast<NodeId>(rng.UniformInt(0, params.num_spine - 1));
+  topo.SetNodeUp(spine, false);
+  down_nodes.push_back(spine);
+  touched.push_back(spine);
+  ASSERT_EQ(run_queries("and one spine down", 200), "");
+
+  // Every leaf of one pod: each of its ToRs then reaches only its own hosts.
+  const int pod = static_cast<int>(rng.UniformInt(0, params.num_pods - 1));
+  const int leaves_per_pod = params.num_leaf / params.num_pods;
+  const int tors_per_pod = params.num_tor / params.num_pods;
+  for (int l = 0; l < leaves_per_pod; ++l) {
+    const NodeId leaf = first_leaf + static_cast<NodeId>(pod * leaves_per_pod + l);
+    topo.SetNodeUp(leaf, false);
+    down_nodes.push_back(leaf);
+    touched.push_back(leaf);
+  }
+  for (int t = 0; t < tors_per_pod; ++t) {
+    const NodeId tor = first_tor + static_cast<NodeId>(pod * tors_per_pod + t);
+    touched.push_back(tor);
+    touched.push_back(static_cast<NodeId>(pod * tors_per_pod + t) * params.hosts_per_tor);
+  }
+  ASSERT_EQ(run_queries("and one pod's leaves down", 200), "");
+
+  for (LinkId l : down_links) {
+    topo.SetLinkUp(l, true);
+  }
+  for (NodeId n : down_nodes) {
+    topo.SetNodeUp(n, true);
+  }
+  ASSERT_EQ(run_queries("all restored", 200), "");
 }
 
 // A small spine-leaf for the last-hop cases: hosts 0-11, three per ToR.
