@@ -1,7 +1,7 @@
 // Command-line profiler: runs Saba's offline profiling for one catalog
-// workload (or all of them) and emits the sensitivity table as CSV — the
-// artifact the controller (or a distributed controller's mapping database)
-// consumes.
+// workload (or all of them) and prints the sensitivity table as CSV, for
+// inspection and plotting. Nothing reads the CSV back: the controllers and
+// the mapping database take the table in memory.
 //
 //   ./build/examples/profiler_tool              # profile the whole catalog
 //   ./build/examples/profiler_tool LR           # one workload, with details

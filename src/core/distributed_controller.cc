@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <sstream>
 
 #include "src/core/sensitivity.h"
 #include "src/numerics/linalg.h"
-#include "src/sim/parse.h"
 #include "src/sim/wallclock.h"
 
 namespace saba {
@@ -54,79 +52,6 @@ int MappingDatabase::PlForWorkload(const std::string& workload) const {
     }
   }
   return best_pl;
-}
-
-std::string MappingDatabase::ToCsv() const {
-  std::ostringstream os;
-  os.precision(17);
-  for (size_t p = 0; p < pl_models.size(); ++p) {
-    os << "pl," << p;
-    for (double coeff : pl_models[p].polynomial().coefficients()) {
-      os << ',' << coeff;
-    }
-    os << '\n';
-  }
-  for (const auto& [workload, pl] : workload_to_pl) {
-    os << "app," << workload << ',' << pl << '\n';
-  }
-  return os.str();
-}
-
-std::optional<MappingDatabase> MappingDatabase::FromCsv(const std::string& csv) {
-  MappingDatabase db;
-  std::istringstream is(csv);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream row(line);
-    std::string kind;
-    if (!std::getline(row, kind, ',')) {
-      return std::nullopt;
-    }
-    if (kind == "pl") {
-      std::string field;
-      if (!std::getline(row, field, ',')) {
-        return std::nullopt;
-      }
-      const std::optional<int64_t> id = ParseInt64(field);
-      if (!id.has_value() || *id < 0 ||
-          static_cast<size_t>(*id) != db.pl_models.size()) {
-        return std::nullopt;  // PL ids must be numeric, dense, and in order.
-      }
-      std::vector<double> coeffs;
-      while (std::getline(row, field, ',')) {
-        const std::optional<double> coeff = ParseDoubleField(field);
-        if (!coeff.has_value()) {
-          return std::nullopt;
-        }
-        coeffs.push_back(*coeff);
-      }
-      if (coeffs.empty()) {
-        return std::nullopt;
-      }
-      db.pl_models.emplace_back(Polynomial(std::move(coeffs)));
-    } else if (kind == "app") {
-      std::string workload;
-      std::string pl;
-      if (!std::getline(row, workload, ',') || !std::getline(row, pl, ',')) {
-        return std::nullopt;
-      }
-      const std::optional<int64_t> pl_id = ParseInt64(pl);
-      if (!pl_id.has_value() || *pl_id < 0 ||
-          static_cast<size_t>(*pl_id) >= db.pl_models.size()) {
-        return std::nullopt;  // Assignments must reference declared PLs.
-      }
-      db.workload_to_pl[workload] = static_cast<int>(*pl_id);
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (db.pl_models.empty()) {
-    return std::nullopt;
-  }
-  return db;
 }
 
 DistributedController::DistributedController(Network* network, FlowSimulator* flow_sim,

@@ -33,7 +33,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,8 +42,8 @@
 namespace saba {
 
 // The offline mapping database: workload -> PL plus the PL centroid models.
-// Built once by the profiler from the full sensitivity table; replicated to
-// every controller shard.
+// Built once from the full sensitivity table and handed to the controller in
+// memory (the paper replicates it to every controller shard, §5.4).
 struct MappingDatabase {
   std::map<std::string, int> workload_to_pl;
   std::vector<SensitivityModel> pl_models;
@@ -54,12 +53,6 @@ struct MappingDatabase {
   // PL for a workload; unknown workloads get the PL whose centroid is
   // nearest to the insensitive default model.
   int PlForWorkload(const std::string& workload) const;
-
-  // Replication format (§5.4: the database is replicated to every controller
-  // shard). Two sections: "pl,<id>,<coefficients...>" rows for the centroid
-  // models, then "app,<workload>,<pl>" rows for the assignments.
-  std::string ToCsv() const;
-  static std::optional<MappingDatabase> FromCsv(const std::string& csv);
 };
 
 struct DistributedControllerOptions {
@@ -99,8 +92,6 @@ class DistributedController : public CentralizedController {
   // The shard owning a port (the src node for switch egress; the dst switch
   // for host NIC egress, since the NIC is configured via its ToR's manager).
   int ShardOfPort(LinkId link) const;
-
-  int num_shards() const { return num_shards_; }
 
  protected:
   // Partitions the dirty list by owning shard and reallocates each shard's

@@ -54,8 +54,6 @@ class QueueMapper {
   // reference stays valid until the mapper is destroyed.
   const PortMapping& MapPortMemo(const std::vector<int>& present_pls, int max_queues) const;
 
-  size_t num_pls() const { return hierarchy_.num_leaves(); }
-
   uint64_t memo_hits() const { return memo_hits_; }
 
  private:

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <sstream>
 
-#include "src/sim/parse.h"
-
 namespace saba {
 
 double SensitivityModel::SlowdownAt(double b) const {
@@ -47,51 +45,6 @@ std::string SensitivityTable::ToCsv() const {
     os << '\n';
   }
   return os.str();
-}
-
-std::optional<SensitivityTable> SensitivityTable::FromCsv(const std::string& csv) {
-  SensitivityTable table;
-  std::istringstream is(csv);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream row(line);
-    std::string field;
-    if (!std::getline(row, field, ',')) {
-      return std::nullopt;
-    }
-    const std::string name = field;
-    SensitivityEntry entry;
-    if (!std::getline(row, field, ',')) {
-      return std::nullopt;
-    }
-    const std::optional<double> r_squared = ParseDoubleField(field);
-    if (!r_squared.has_value() || !std::getline(row, field, ',')) {
-      return std::nullopt;
-    }
-    const std::optional<double> base_seconds = ParseDoubleField(field);
-    if (!base_seconds.has_value()) {
-      return std::nullopt;
-    }
-    entry.r_squared = *r_squared;
-    entry.base_completion_seconds = *base_seconds;
-    std::vector<double> coeffs;
-    while (std::getline(row, field, ',')) {
-      const std::optional<double> coeff = ParseDoubleField(field);
-      if (!coeff.has_value()) {
-        return std::nullopt;
-      }
-      coeffs.push_back(*coeff);
-    }
-    if (coeffs.empty()) {
-      return std::nullopt;
-    }
-    entry.model = SensitivityModel(Polynomial(std::move(coeffs)));
-    table.Put(name, std::move(entry));
-  }
-  return table;
 }
 
 }  // namespace saba

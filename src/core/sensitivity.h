@@ -10,7 +10,6 @@
 #define SRC_CORE_SENSITIVITY_H_
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,11 +74,10 @@ class SensitivityTable {
   size_t size() const { return entries_.size(); }
   const std::map<std::string, SensitivityEntry>& entries() const { return entries_; }
 
-  // CSV persistence: one row per workload — name, r_squared, base seconds,
-  // then the polynomial coefficients (ascending degree). The distributed
-  // controller's mapping database ships this file around (§5.4).
+  // CSV export, as examples/profiler_tool prints it: one row per workload in
+  // ascending name order — name, r_squared, base seconds, then the
+  // polynomial coefficients (ascending degree), every field at precision 17.
   std::string ToCsv() const;
-  static std::optional<SensitivityTable> FromCsv(const std::string& csv);
 
  private:
   std::map<std::string, SensitivityEntry> entries_;

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/net/network.h"
 #include "src/net/units.h"
 #include "src/sim/parse.h"
 #include "src/sim/rng.h"
@@ -77,25 +78,39 @@ void Fail(std::string* error, int line_number, const std::string& message) {
   }
 }
 
-// True when a fabric of `nodes` nodes and `duplex_links` duplex links gets
-// ids that fit NodeId and LinkId. The counts are doubles so that products of
-// user-given counts cannot overflow; every value below 2^53 is exact.
-bool IdsFit(double nodes, double duplex_links) {
-  return nodes <= std::numeric_limits<NodeId>::max() &&
-         2 * duplex_links <= std::numeric_limits<LinkId>::max();
+// The largest fabric a topology line builds: 16x the fig11-scale fabric's
+// 10,824 nodes and 92,880 directed links. Far larger lines parse as numbers
+// but would exhaust memory in the builders (servers=1000000000 is 10^9
+// hosts), and the budget keeps every NodeId and LinkId inside 32 bits.
+constexpr int kMaxFabricNodes = 16 * 10824;
+constexpr int kMaxFabricLinks = 16 * 92880;
+static_assert(kMaxFabricNodes <= std::numeric_limits<NodeId>::max() &&
+              kMaxFabricLinks <= std::numeric_limits<LinkId>::max());
+
+// True when a fabric of `nodes` nodes and `duplex_links` duplex links is
+// within the budget. The counts are doubles so that products of user-given
+// counts cannot overflow; every value below 2^53 is exact.
+bool WithinFabricBudget(double nodes, double duplex_links) {
+  return nodes <= kMaxFabricNodes && 2 * duplex_links <= kMaxFabricLinks;
 }
 
 // Builds the fabric of a `topology` line from its kind and its key=value
 // parameters (every value already known to be a number). Rejects, with a
 // message, any parameter set the topology builders would abort or hang on:
 // counts must be integers, capacities positive, every pod needs a ToR and a
-// leaf, a multi-pod fabric needs a spine, and every id must fit 32 bits.
+// leaf, a multi-pod fabric needs a spine, and the fabric must be within the
+// budget.
 std::optional<Topology> BuildTopologyLine(const std::string& kind,
                                           const std::map<std::string, std::string>& kv,
                                           std::string* error) {
   auto reject = [error](const std::string& message) {
     *error = message;
     return std::optional<Topology>();
+  };
+  auto over_budget = [&]() {
+    std::string message = kind + " is too large: a fabric has at most ";
+    message += std::to_string(kMaxFabricNodes) + " nodes and ";
+    return reject(message + std::to_string(kMaxFabricLinks) + " directed links");
   };
   // Every count is checked here once, so count() below cannot fail.
   for (const char* key : {"servers", "spine", "leaf", "tor", "hosts_per_tor", "pods", "k"}) {
@@ -120,8 +135,8 @@ std::optional<Topology> BuildTopologyLine(const std::string& kind,
     if (servers < 2) {
       return reject("star needs servers >= 2");
     }
-    if (!IdsFit(servers + 1.0, servers)) {
-      return reject("star is too large: node and link ids must fit 32 bits");
+    if (!WithinFabricBudget(servers + 1.0, servers)) {
+      return over_budget();
     }
     return BuildSingleSwitchStar(servers, capacity);
   }
@@ -150,10 +165,10 @@ std::optional<Topology> BuildTopologyLine(const std::string& kind,
     }
     const double tors = params.num_tor;
     const double hosts = tors * params.hosts_per_tor;
-    if (!IdsFit(hosts + tors + params.num_leaf + params.num_spine,
-                hosts + tors * (params.num_leaf / params.num_pods) +
-                    static_cast<double>(params.num_leaf) * params.num_spine)) {
-      return reject("spineleaf is too large: node and link ids must fit 32 bits");
+    if (!WithinFabricBudget(hosts + tors + params.num_leaf + params.num_spine,
+                            hosts + tors * (params.num_leaf / params.num_pods) +
+                                static_cast<double>(params.num_leaf) * params.num_spine)) {
+      return over_budget();
     }
     return BuildSpineLeaf(params);
   }
@@ -170,8 +185,8 @@ std::optional<Topology> BuildTopologyLine(const std::string& kind,
       return reject("fattree core_gbps must be at least 0.001");
     }
     const double k = params.k;
-    if (!IdsFit(k * k * k / 4 + 5 * k * k / 4, 3 * k * k * k / 4)) {
-      return reject("fattree is too large: node and link ids must fit 32 bits");
+    if (!WithinFabricBudget(k * k * k / 4 + 5 * k * k / 4, 3 * k * k * k / 4)) {
+      return over_budget();
     }
     return BuildFatTree(params);
   }
@@ -265,8 +280,8 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
       scenario.options.relative_min_weight = *floor;
     } else if (directive == "queues") {
       const std::optional<int> queues = rest.size() == 1 ? ParseIntValue(rest[0]) : std::nullopt;
-      if (!queues.has_value() || *queues < 1) {
-        Fail(error, line_number, "queues needs one positive integer");
+      if (!queues.has_value() || *queues < 1 || *queues > kNumServiceLevels) {
+        Fail(error, line_number, "queues needs one integer in [1, 16]");
         return std::nullopt;
       }
       scenario.options.queues_per_port = *queues;

@@ -21,9 +21,10 @@
 // `fattree k=K capacity_gbps=C core_gbps=C2` (core_gbps defaults to
 // capacity_gbps; lower it for an oversubscribed core). Counts are integers,
 // capacities at least 0.001 Gb/s; every spine-leaf pod needs a ToR and a
-// leaf, more than one pod needs a spine, and node and link ids must fit 32
-// bits. The FECN `gamma` is in [0, 10]; `seed` takes any unsigned 64-bit
-// value.
+// leaf, and more than one pod needs a spine. A fabric has at most 173,184
+// nodes and 1,486,080 directed links (16x the fig11-scale fabric). The FECN
+// `gamma` is in [0, 10]; `queues` per port is in [1, 16], InfiniBand's
+// virtual-lane ceiling; `seed` takes any unsigned 64-bit value.
 // Policies: baseline, saba, saba-distributed, saba-unlimited, ideal-max-min,
 // homa (needs queues >= 2), sincronia, pfabric. Jobs reference catalog
 // workload names; `nodes`, `dataset` (scale factor) and `start` (seconds) are

@@ -36,10 +36,6 @@ Polynomial Polynomial::Derivative() const {
   return Polynomial(std::move(d));
 }
 
-double Polynomial::SecondDerivativeAt(double x) const {
-  return Derivative().Derivative().Evaluate(x);
-}
-
 bool Polynomial::IsConvexOn(double lo, double hi, int samples) const {
   assert(lo <= hi && samples >= 2);
   const Polynomial d2 = Derivative().Derivative();
@@ -50,42 +46,6 @@ bool Polynomial::IsConvexOn(double lo, double hi, int samples) const {
     }
   }
   return true;
-}
-
-bool Polynomial::IsNonIncreasingOn(double lo, double hi, int samples) const {
-  assert(lo <= hi && samples >= 2);
-  const Polynomial d = Derivative();
-  for (int i = 0; i < samples; ++i) {
-    const double x = lo + (hi - lo) * static_cast<double>(i) / (samples - 1);
-    if (d.Evaluate(x) > 1e-9) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Polynomial Polynomial::operator+(const Polynomial& other) const {
-  std::vector<double> out(std::max(coeffs_.size(), other.coeffs_.size()), 0.0);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = coefficient(i) + other.coefficient(i);
-  }
-  return Polynomial(std::move(out));
-}
-
-Polynomial Polynomial::operator-(const Polynomial& other) const {
-  std::vector<double> out(std::max(coeffs_.size(), other.coeffs_.size()), 0.0);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = coefficient(i) - other.coefficient(i);
-  }
-  return Polynomial(std::move(out));
-}
-
-Polynomial Polynomial::operator*(double scalar) const {
-  std::vector<double> out = coeffs_;
-  for (double& c : out) {
-    c *= scalar;
-  }
-  return Polynomial(std::move(out));
 }
 
 std::string Polynomial::ToString() const {

@@ -2,8 +2,8 @@
 //
 // Saba's sensitivity models (Eq 1 in the paper) are polynomials in the
 // bandwidth fraction b: D(b) = c0 + c1*b + ... + ck*b^k. This type stores the
-// coefficients in ascending-degree order and provides the evaluation,
-// differentiation, and arithmetic the controller's weight solver needs.
+// coefficients in ascending-degree order and provides the evaluation and
+// differentiation the controller's weight solver needs.
 
 #ifndef SRC_NUMERICS_POLYNOMIAL_H_
 #define SRC_NUMERICS_POLYNOMIAL_H_
@@ -36,21 +36,10 @@ class Polynomial {
   // First derivative.
   Polynomial Derivative() const;
 
-  // Second derivative evaluated at x (used for convexity checks).
-  double SecondDerivativeAt(double x) const;
-
   // True if the polynomial is convex over [lo, hi], checked by sampling the
   // second derivative at `samples` evenly spaced points (exact for degree
   // <= 3, where the second derivative is affine, with samples >= 2).
   bool IsConvexOn(double lo, double hi, int samples = 16) const;
-
-  // True if the polynomial is non-increasing over [lo, hi], sampled like
-  // IsConvexOn. Sensitivity models should be non-increasing in bandwidth.
-  bool IsNonIncreasingOn(double lo, double hi, int samples = 32) const;
-
-  Polynomial operator+(const Polynomial& other) const;
-  Polynomial operator-(const Polynomial& other) const;
-  Polynomial operator*(double scalar) const;
 
   // Human-readable form like "2.1 - 3.4*x + 1.2*x^2".
   std::string ToString() const;

@@ -6,15 +6,6 @@
 
 namespace saba {
 
-double Mean(const std::vector<double>& xs) {
-  assert(!xs.empty());
-  double s = 0;
-  for (double x : xs) {
-    s += x;
-  }
-  return s / static_cast<double>(xs.size());
-}
-
 double GeometricMean(const std::vector<double>& xs) {
   assert(!xs.empty());
   double log_sum = 0;
@@ -23,18 +14,6 @@ double GeometricMean(const std::vector<double>& xs) {
     log_sum += std::log(x);
   }
   return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double StdDev(const std::vector<double>& xs) {
-  if (xs.size() < 2) {
-    return 0.0;
-  }
-  const double mean = Mean(xs);
-  double ss = 0;
-  for (double x : xs) {
-    ss += (x - mean) * (x - mean);
-  }
-  return std::sqrt(ss / static_cast<double>(xs.size() - 1));
 }
 
 double Percentile(std::vector<double> xs, double p) {
@@ -60,50 +39,5 @@ double Max(const std::vector<double>& xs) {
   assert(!xs.empty());
   return *std::max_element(xs.begin(), xs.end());
 }
-
-std::vector<std::pair<double, double>> EmpiricalCdf(std::vector<double> xs, size_t points) {
-  assert(!xs.empty());
-  assert(points >= 2);
-  std::sort(xs.begin(), xs.end());
-  std::vector<std::pair<double, double>> cdf;
-  cdf.reserve(points);
-  for (size_t i = 0; i < points; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(points - 1);
-    const double rank = q * static_cast<double>(xs.size() - 1);
-    const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = std::min(lo + 1, xs.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    cdf.emplace_back(xs[lo] * (1.0 - frac) + xs[hi] * frac, q);
-  }
-  return cdf;
-}
-
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::mean() const {
-  assert(count_ > 0);
-  return mean_;
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace saba

@@ -1,26 +1,18 @@
 // Descriptive statistics used by the experiment harness.
 //
 // The paper reports geometric-mean speedups ("the average speedup reports the
-// geometric mean", §8.1), percentile latencies (Fig 12) and CDFs (Fig 8b).
+// geometric mean", §8.1), percentile latencies (Fig 12) and a CDF read off
+// percentiles (Fig 8b).
 
 #ifndef SRC_NUMERICS_STATS_H_
 #define SRC_NUMERICS_STATS_H_
 
-#include <cstddef>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace saba {
 
-// Arithmetic mean. Requires a non-empty input.
-double Mean(const std::vector<double>& xs);
-
 // Geometric mean. Requires all entries strictly positive.
 double GeometricMean(const std::vector<double>& xs);
-
-// Sample standard deviation (n-1 denominator); 0 for size < 2.
-double StdDev(const std::vector<double>& xs);
 
 // The p-th percentile (p in [0, 100]) by linear interpolation between closest
 // ranks. Requires a non-empty input; does not mutate it.
@@ -29,33 +21,6 @@ double Percentile(std::vector<double> xs, double p);
 // Minimum / maximum; require non-empty inputs.
 double Min(const std::vector<double>& xs);
 double Max(const std::vector<double>& xs);
-
-// Empirical CDF: returns (value, cumulative fraction) pairs at `points`
-// evenly spaced quantiles, suitable for plotting. Requires non-empty input.
-std::vector<std::pair<double, double>> EmpiricalCdf(std::vector<double> xs,
-                                                    size_t points = 100);
-
-// Incremental accumulator when values arrive one at a time.
-class RunningStats {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double mean() const;
-  double variance() const;  // Sample variance (n-1); 0 for count < 2.
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return sum_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;  // Welford's running sum of squared deviations.
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
 
 }  // namespace saba
 

@@ -1,8 +1,8 @@
 // Strict text-to-number parsing, shared by the environment knobs, the
-// scenario parser and the CSV readers of the sensitivity table and mapping
-// database: the whole string must be the number. A malformed value comes
-// back as nullopt, never as an exception (std::stod and std::stoi throw) or
-// a silently truncated value (std::atoi("12x") is 12).
+// scenario parser and the command-line tools: the whole string must be the
+// number. A malformed value comes back as nullopt, never as an exception
+// (std::stod and std::stoi throw) or a silently truncated value
+// (std::atoi("12x") is 12).
 
 #ifndef SRC_SIM_PARSE_H_
 #define SRC_SIM_PARSE_H_

@@ -78,23 +78,13 @@ class Application {
   // job completion time (finish - start), the paper's performance metric.
   void Start(DoneCallback on_done);
 
-  AppId id() const { return id_; }
-  const std::string& workload_name() const { return spec_.name; }
-  const std::vector<NodeId>& hosts() const { return hosts_; }
-
-  bool started() const { return started_; }
   bool finished() const { return finished_; }
-  SimTime start_time() const { return start_time_; }
-  SimTime finish_time() const { return finish_time_; }
   // Completion time so far (finish - start); only valid once finished.
   SimTime CompletionSeconds() const;
 
   // True while instances are in the compute phase of the current stage
   // (drives the CPU-utilization traces of Fig 2).
   bool IsComputing() const { return started_ && !finished_ && computing_; }
-
-  int current_stage() const { return stage_; }
-  int service_level() const { return sl_; }
 
  private:
   void BeginStage();

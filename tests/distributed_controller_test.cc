@@ -45,58 +45,6 @@ TEST(MappingDatabaseTest, UnknownWorkloadMapsToNearestInsensitiveCentroid) {
   EXPECT_EQ(db.PlForWorkload("unknown"), db.PlForWorkload("flat"));
 }
 
-TEST(MappingDatabaseTest, CsvRoundTrip) {
-  const SensitivityTable table = MakeTable();
-  const MappingDatabase db = MappingDatabase::Build(table, 3, 1);
-  const auto parsed = MappingDatabase::FromCsv(db.ToCsv());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->workload_to_pl, db.workload_to_pl);
-  ASSERT_EQ(parsed->pl_models.size(), db.pl_models.size());
-  for (size_t p = 0; p < db.pl_models.size(); ++p) {
-    for (double b : {0.1, 0.5, 0.9}) {
-      EXPECT_DOUBLE_EQ(parsed->pl_models[p].SlowdownAt(b), db.pl_models[p].SlowdownAt(b));
-    }
-  }
-}
-
-TEST(MappingDatabaseTest, FromCsvRejectsMalformedInput) {
-  EXPECT_FALSE(MappingDatabase::FromCsv("").has_value());
-  EXPECT_FALSE(MappingDatabase::FromCsv("bogus,1,2").has_value());
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,1,1.0").has_value());      // Non-dense PL ids.
-  EXPECT_FALSE(MappingDatabase::FromCsv("app,LR,0").has_value());      // App before any PL.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1.0\napp,LR,5").has_value());  // Dangling PL ref.
-  EXPECT_TRUE(MappingDatabase::FromCsv("pl,0,1.0,-0.5\napp,LR,0").has_value());
-}
-
-TEST(MappingDatabaseTest, FromCsvRejectsCorruptFieldsWithoutThrowing) {
-  // A corrupt replication payload must come back as nullopt — these used to
-  // escape as std::stoul/stod/stoi exceptions.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,x,1.0").has_value());    // Non-numeric PL id.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,abc").has_value());    // Non-numeric coefficient.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1.0\napp,LR,x").has_value());  // Non-numeric app PL.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,-1,1.0").has_value());   // Negative PL id.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0").has_value());        // Truncated: no coefficients.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1.0\napp,LR").has_value());  // Truncated app row.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1.0\napp").has_value());     // Tag-only row.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl, 0,1.0").has_value());   // Padded field.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1.0\napp,LR,0junk").has_value());  // Trailing junk.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1e999").has_value());  // Coefficient overflow.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,nan").has_value());    // Non-finite coefficient.
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,inf").has_value());
-  EXPECT_FALSE(MappingDatabase::FromCsv("pl,0,1.0,-inf").has_value());
-}
-
-TEST(MappingDatabaseTest, CsvRoundTripIsByteStable) {
-  // ToCsv -> FromCsv -> ToCsv must be a fixed point: precision-17 doubles
-  // round-trip exactly, and both sections are emitted in canonical order.
-  const SensitivityTable table = MakeTable();
-  const MappingDatabase db = MappingDatabase::Build(table, 3, 1);
-  const std::string csv = db.ToCsv();
-  const auto parsed = MappingDatabase::FromCsv(csv);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->ToCsv(), csv);
-}
-
 class DistributedControllerTest : public ::testing::Test {
  protected:
   DistributedControllerTest()

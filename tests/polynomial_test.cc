@@ -45,11 +45,6 @@ TEST(PolynomialTest, DerivativeOfConstantIsZero) {
   EXPECT_DOUBLE_EQ(p.Derivative().Evaluate(2.0), 0.0);
 }
 
-TEST(PolynomialTest, SecondDerivative) {
-  Polynomial p({0.0, 0.0, 0.0, 1.0});  // x^3 -> 6x.
-  EXPECT_DOUBLE_EQ(p.SecondDerivativeAt(2.0), 12.0);
-}
-
 TEST(PolynomialTest, ConvexityDetection) {
   EXPECT_TRUE(Polynomial({1.0, -2.0, 1.0}).IsConvexOn(0, 1));   // x^2 - 2x + 1.
   EXPECT_FALSE(Polynomial({0.0, 0.0, -1.0}).IsConvexOn(0, 1));  // -x^2.
@@ -57,30 +52,6 @@ TEST(PolynomialTest, ConvexityDetection) {
   Polynomial cubic({0.0, 0.0, 0.0, 1.0});
   EXPECT_TRUE(cubic.IsConvexOn(0, 1));
   EXPECT_FALSE(cubic.IsConvexOn(-1, 0));
-}
-
-TEST(PolynomialTest, MonotonicityDetection) {
-  EXPECT_TRUE(Polynomial({5.0, -1.0}).IsNonIncreasingOn(0, 1));
-  EXPECT_FALSE(Polynomial({0.0, 1.0}).IsNonIncreasingOn(0, 1));
-  // Constant counts as non-increasing.
-  EXPECT_TRUE(Polynomial({3.0}).IsNonIncreasingOn(0, 1));
-}
-
-TEST(PolynomialTest, Arithmetic) {
-  Polynomial a({1.0, 2.0});
-  Polynomial b({0.0, 1.0, 3.0});
-  Polynomial sum = a + b;
-  EXPECT_DOUBLE_EQ(sum.Evaluate(2.0), a.Evaluate(2.0) + b.Evaluate(2.0));
-  Polynomial diff = a - b;
-  EXPECT_DOUBLE_EQ(diff.Evaluate(2.0), a.Evaluate(2.0) - b.Evaluate(2.0));
-  Polynomial scaled = a * 3.0;
-  EXPECT_DOUBLE_EQ(scaled.Evaluate(2.0), 3.0 * a.Evaluate(2.0));
-}
-
-TEST(PolynomialTest, SubtractionCancelsDegree) {
-  Polynomial a({1.0, 0.0, 2.0});
-  Polynomial b({0.0, 0.0, 2.0});
-  EXPECT_EQ((a - b).degree(), 0u);
 }
 
 TEST(PolynomialTest, ToStringReadable) {

@@ -97,6 +97,31 @@ TEST(ScenarioParserTest, ParsesFailureDirectivesBeforeTopology) {
   EXPECT_DOUBLE_EQ(degrade.capacity_factor, 0.5);
 }
 
+TEST(ScenarioParserTest, FabricBudgetAdmitsFig11ScaleAndStopsAtItsBound) {
+  // controller-churn's fig11-scale fabric: 10,824 nodes, 92,880 directed links.
+  const char* fig11_scale =
+      "topology spineleaf spine=54 leaf=510 tor=540 hosts_per_tor=18 pods=30\njob LR nodes=2\n";
+  // A star of N servers has N + 1 nodes; the budget is 16 x 10,824 nodes.
+  const char* at_budget = "topology star servers=173183\njob LR nodes=2\n";
+  const char* over_budget = "topology star servers=173184\njob LR nodes=2\n";
+  const std::string message =
+      "line 1: star is too large: a fabric has at most 173184 nodes and 1486080 directed links";
+  std::string error;
+  EXPECT_TRUE(ParseScenario(fig11_scale, &error).has_value()) << error;
+  EXPECT_TRUE(ParseScenario(at_budget, &error).has_value()) << error;
+  EXPECT_FALSE(ParseScenario(over_budget, &error).has_value());
+  EXPECT_EQ(error, message);
+}
+
+TEST(ScenarioParserTest, QueuesStopAtTheVirtualLaneCeiling) {
+  const auto scenario = ParseScenario("queues 16\njob LR nodes=2\n");
+  ASSERT_TRUE(scenario.has_value());
+  EXPECT_EQ(scenario->options.queues_per_port, 16);
+  std::string error;
+  EXPECT_FALSE(ParseScenario("seed 1\nqueues 17\njob LR nodes=2\n", &error).has_value());
+  EXPECT_EQ(error, "line 2: queues needs one integer in [1, 16]");
+}
+
 TEST(ScenarioParserTest, DefaultsWhenOmitted) {
   const auto scenario = ParseScenario("job Sort nodes=4\n");
   ASSERT_TRUE(scenario.has_value());
@@ -167,9 +192,13 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"no_leaf",
                 "topology spineleaf leaf=0 tor=4 hosts_per_tor=2 pods=2\njob LR nodes=8\n"},
         BadCase{"homa_one_queue", "queues 1\npolicy homa\njob LR nodes=2\n"},
+        // More queues than InfiniBand's 16 virtual lanes.
+        BadCase{"queues_above_vl_ceiling", "queues 17\npolicy saba\njob LR nodes=2\n"},
         // The host count 65536 x 65537 overflows a 32-bit int (it wraps to 65536).
         BadCase{"host_count_overflow",
                 "topology spineleaf tor=65536 hosts_per_tor=65537 pods=2\njob LR nodes=2\n"},
+        // Above the fabric budget (16x the fig11-scale fabric's nodes).
+        BadCase{"fabric_over_budget", "topology star servers=200000\njob LR nodes=2\n"},
         BadCase{"fractional_servers", "topology star servers=2.7\njob LR nodes=2\n"},
         BadCase{"fractional_k", "topology fattree k=4.9\njob LR nodes=4\n"},
         // Magnitudes far beyond any real job, at which a run does not finish.

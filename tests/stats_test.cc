@@ -7,22 +7,12 @@
 namespace saba {
 namespace {
 
-TEST(StatsTest, Mean) {
-  EXPECT_DOUBLE_EQ(Mean({1, 2, 3, 4}), 2.5);
-  EXPECT_DOUBLE_EQ(Mean({7}), 7.0);
-}
-
 TEST(StatsTest, GeometricMean) {
   EXPECT_DOUBLE_EQ(GeometricMean({4, 1}), 2.0);
   EXPECT_NEAR(GeometricMean({2, 8}), 4.0, 1e-12);
-  // Geomean <= arithmetic mean.
+  // Geomean <= arithmetic mean, here (1.2 + 3.4 + 0.5 + 2.0) / 4.
   const std::vector<double> xs = {1.2, 3.4, 0.5, 2.0};
-  EXPECT_LE(GeometricMean(xs), Mean(xs));
-}
-
-TEST(StatsTest, StdDev) {
-  EXPECT_DOUBLE_EQ(StdDev({5}), 0.0);
-  EXPECT_NEAR(StdDev({2, 4, 4, 4, 5, 5, 7, 9}), 2.138089935299395, 1e-12);
+  EXPECT_LE(GeometricMean(xs), 7.1 / 4);
 }
 
 TEST(StatsTest, PercentileInterpolates) {
@@ -41,41 +31,6 @@ TEST(StatsTest, PercentileUnsortedInput) {
 TEST(StatsTest, MinMax) {
   EXPECT_DOUBLE_EQ(Min({3, 1, 2}), 1.0);
   EXPECT_DOUBLE_EQ(Max({3, 1, 2}), 3.0);
-}
-
-TEST(StatsTest, EmpiricalCdfEndpointsAndMonotone) {
-  const std::vector<double> xs = {5, 1, 3, 2, 4};
-  const auto cdf = EmpiricalCdf(xs, 11);
-  ASSERT_EQ(cdf.size(), 11u);
-  EXPECT_DOUBLE_EQ(cdf.front().first, 1.0);
-  EXPECT_DOUBLE_EQ(cdf.front().second, 0.0);
-  EXPECT_DOUBLE_EQ(cdf.back().first, 5.0);
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-  for (size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].first, cdf[i - 1].first);
-    EXPECT_GE(cdf[i].second, cdf[i - 1].second);
-  }
-}
-
-TEST(RunningStatsTest, MatchesBatchComputation) {
-  const std::vector<double> xs = {2, 4, 4, 4, 5, 5, 7, 9};
-  RunningStats rs;
-  for (double x : xs) {
-    rs.Add(x);
-  }
-  EXPECT_EQ(rs.count(), xs.size());
-  EXPECT_NEAR(rs.mean(), Mean(xs), 1e-12);
-  EXPECT_NEAR(rs.stddev(), StdDev(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), 2.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-  EXPECT_DOUBLE_EQ(rs.sum(), 40.0);
-}
-
-TEST(RunningStatsTest, SingleValue) {
-  RunningStats rs;
-  rs.Add(3.5);
-  EXPECT_DOUBLE_EQ(rs.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
 }
 
 }  // namespace
