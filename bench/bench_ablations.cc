@@ -38,9 +38,8 @@ void SolverAblation(const SensitivityTable& table) {
   // The solver's per-application floor at ten applications: the closed form
   // needs every model convex on [min_weight, capacity].
   constexpr size_t kApps = 10;
-  const double min_weight =
-      std::max(options.min_weight,
-               options.relative_min_weight * options.capacity / static_cast<double>(kApps));
+  const double min_weight = std::max(
+      kMinWeight, options.relative_min_weight * options.capacity / static_cast<double>(kApps));
   size_t convex = 0;
   for (const auto& [name, entry] : table.entries()) {
     convex += entry.model.polynomial().IsConvexOn(min_weight, options.capacity) ? 1 : 0;

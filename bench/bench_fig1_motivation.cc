@@ -32,9 +32,9 @@ void Fig1a() {
   const std::vector<Slowdowns> rows =
       RunSweep<Slowdowns>("fig1a workloads", catalog.size(), [&](size_t w) {
         const WorkloadSpec& spec = catalog[w];
-        const double base = OfflineProfiler::RunIsolated(spec, 1.0, 8, Gbps(56));
-        return Slowdowns{OfflineProfiler::RunIsolated(spec, 0.75, 8, Gbps(56)) / base,
-                         OfflineProfiler::RunIsolated(spec, 0.25, 8, Gbps(56)) / base};
+        const double base = OfflineProfiler::RunIsolated(spec, 1.0, 8);
+        return Slowdowns{OfflineProfiler::RunIsolated(spec, 0.75, 8) / base,
+                         OfflineProfiler::RunIsolated(spec, 0.25, 8) / base};
       });
   double total = 0;
   for (size_t w = 0; w < catalog.size(); ++w) {
@@ -65,10 +65,10 @@ void Fig1b(const SensitivityTable& table) {
     Fig1bCell cell;
     switch (t) {
       case 0:
-        cell.isolated = OfflineProfiler::RunIsolated(*FindWorkload("LR"), 1.0, 8, Gbps(56));
+        cell.isolated = OfflineProfiler::RunIsolated(*FindWorkload("LR"), 1.0, 8);
         break;
       case 1:
-        cell.isolated = OfflineProfiler::RunIsolated(*FindWorkload("PR"), 1.0, 8, Gbps(56));
+        cell.isolated = OfflineProfiler::RunIsolated(*FindWorkload("PR"), 1.0, 8);
         break;
       case 2: {
         CoRunOptions baseline_options;

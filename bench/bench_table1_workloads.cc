@@ -23,7 +23,7 @@ void Run() {
   // One task per workload: the base-completion simulation dominates.
   const std::vector<double> bases =
       RunSweep<double>("table1 workloads", datasets.size(), [&](size_t w) {
-        return OfflineProfiler::RunIsolated(*FindWorkload(datasets[w].name), 1.0, 8, Gbps(56));
+        return OfflineProfiler::RunIsolated(*FindWorkload(datasets[w].name), 1.0, 8);
       });
   for (size_t w = 0; w < datasets.size(); ++w) {
     const WorkloadDatasetInfo& info = datasets[w];

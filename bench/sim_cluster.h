@@ -16,12 +16,13 @@
 
 namespace saba {
 
+// The synthetic workloads of §8.1.
+constexpr int kSimWorkloads = 20;
+
 struct SimClusterConfig {
-  int num_workloads = 20;
   // Instances per workload; the paper runs 97 on 1,944 servers. SABA_FIG10_INSTANCES
   // scales this down for quick passes.
   int instances_per_workload = 97;
-  SpineLeafParams fabric;  // Defaults are the paper's 54/102/108/18 fabric.
   uint64_t seed = 42;
 };
 
@@ -32,17 +33,19 @@ struct SimCluster {
   SensitivityTable table;
 };
 
+// Builds the cluster on the paper's 54/102/108/18 spine-leaf fabric
+// (SpineLeafParams' defaults).
 inline SimCluster BuildSimCluster(const SimClusterConfig& config) {
   SimCluster cluster;
-  cluster.topology = BuildSpineLeaf(config.fabric);
+  const SpineLeafParams fabric;
+  cluster.topology = BuildSpineLeaf(fabric);
 
   Rng rng(config.seed);
-  cluster.workloads =
-      GenerateSyntheticWorkloads(static_cast<size_t>(config.num_workloads), &rng);
+  cluster.workloads = GenerateSyntheticWorkloads(static_cast<size_t>(kSimWorkloads), &rng);
 
   // Profile each synthetic workload on a rack-scale (18-node) deployment.
   ProfilerOptions profiler_options;
-  profiler_options.num_nodes = config.fabric.hosts_per_tor;
+  profiler_options.num_nodes = fabric.hosts_per_tor;
   profiler_options.seed = config.seed;
   OfflineProfiler profiler(profiler_options);
   cluster.table = profiler.ProfileAll(cluster.workloads);
@@ -51,7 +54,7 @@ inline SimCluster BuildSimCluster(const SimClusterConfig& config) {
   // randomly across the fabric (§8.1).
   std::vector<NodeId> servers = cluster.topology.Hosts();
   rng.Shuffle(&servers);
-  const size_t needed = static_cast<size_t>(config.num_workloads) *
+  const size_t needed = static_cast<size_t>(kSimWorkloads) *
                         static_cast<size_t>(config.instances_per_workload);
   assert(needed <= servers.size() && "fabric too small for the instance count");
   size_t cursor = 0;

@@ -19,8 +19,8 @@ int main() {
   const WorkloadSpec& pr = *FindWorkload("PR");
 
   // Stand-alone completion times are the denominator of every slowdown.
-  const double lr_alone = OfflineProfiler::RunIsolated(lr, 1.0, 8, Gbps(56));
-  const double pr_alone = OfflineProfiler::RunIsolated(pr, 1.0, 8, Gbps(56));
+  const double lr_alone = OfflineProfiler::RunIsolated(lr, 1.0, 8);
+  const double pr_alone = OfflineProfiler::RunIsolated(pr, 1.0, 8);
   std::printf("stand-alone: LR %.0f s, PR %.0f s\n\n", lr_alone, pr_alone);
 
   OfflineProfiler profiler(ProfilerOptions{});

@@ -25,9 +25,6 @@ namespace saba {
 struct HomaConfig {
   // Number of priority classes (queues per port; 8 in the paper's setups).
   int num_priorities = 8;
-  // Messages at or below this many bits get graduated priorities; larger
-  // ones share the last class. 10 KB, per the paper.
-  double cutoff_bits = 10e3 * 8;
 };
 
 // Attaches Homa's size-based prioritization to a flow simulator. The object
@@ -37,7 +34,7 @@ class HomaScheduler {
   HomaScheduler(FlowSimulator* flow_sim, HomaConfig config = {});
 
   // Priority class for a flow with `remaining_bits` left (exposed for tests):
-  // class 0 is served first; sizes <= cutoff spread over classes
+  // class 0 is served first; sizes <= the 10 KB cutoff spread over classes
   // [0, num_priorities-2] on a geometric scale; larger flows share the last.
   int PriorityFor(double remaining_bits) const;
 

@@ -5,24 +5,31 @@
 #include <cmath>
 
 namespace saba {
+namespace {
 
-PFabricScheduler::PFabricScheduler(FlowSimulator* flow_sim, PFabricConfig config)
-    : flow_sim_(flow_sim), config_(config) {
+// Priority classes, and the geometric size buckets' span: one MTU to 1 TB
+// (everything real is inside).
+constexpr int kNumPriorities = 32;
+constexpr double kMinBits = 8.0 * 1500;
+constexpr double kMaxBits = 8e12;
+
+}  // namespace
+
+PFabricScheduler::PFabricScheduler(FlowSimulator* flow_sim)
+    : flow_sim_(flow_sim),
+      log_min_(std::log(kMinBits)),
+      log_range_(std::log(kMaxBits) - log_min_) {
   assert(flow_sim != nullptr);
-  assert(config_.num_priorities >= 2);
-  assert(config_.min_bits > 0 && config_.max_bits > config_.min_bits);
-  log_min_ = std::log(config_.min_bits);
-  log_range_ = std::log(config_.max_bits) - log_min_;
   flow_sim_->SetPreAllocateHook([this] { RefreshPriorities(); });
 }
 
 int PFabricScheduler::PriorityFor(double remaining_bits) const {
-  if (remaining_bits <= config_.min_bits) {
+  if (remaining_bits <= kMinBits) {
     return 0;
   }
   const double frac = (std::log(remaining_bits) - log_min_) / log_range_;
-  const int cls = static_cast<int>(frac * (config_.num_priorities - 1)) + 1;
-  return std::clamp(cls, 0, config_.num_priorities - 1);
+  const int cls = static_cast<int>(frac * (kNumPriorities - 1)) + 1;
+  return std::clamp(cls, 0, kNumPriorities - 1);
 }
 
 void PFabricScheduler::RefreshPriorities() {

@@ -16,29 +16,21 @@
 
 namespace saba {
 
-struct PFabricConfig {
-  // Priority classes emulating the "unbounded" priority space: geometric
-  // size buckets spanning `min_bits` .. `max_bits`.
-  int num_priorities = 32;
-  double min_bits = 8.0 * 1500;   // One MTU.
-  double max_bits = 8e12;         // 1 TB — everything real is inside.
-};
-
 class PFabricScheduler {
  public:
-  PFabricScheduler(FlowSimulator* flow_sim, PFabricConfig config = {});
+  explicit PFabricScheduler(FlowSimulator* flow_sim);
 
   // Priority class for a flow with `remaining_bits` left: class 0 (served
-  // first) for the smallest flows, growing geometrically.
+  // first) for flows of at most one MTU, then 31 geometric size buckets up
+  // to 1 TB, which emulate pFabric's "unbounded" priority space.
   int PriorityFor(double remaining_bits) const;
 
  private:
   void RefreshPriorities();
 
   FlowSimulator* flow_sim_;
-  PFabricConfig config_;
-  double log_min_ = 0;
-  double log_range_ = 1;
+  double log_min_;
+  double log_range_;
 };
 
 }  // namespace saba

@@ -17,17 +17,16 @@ namespace saba {
 
 OfflineProfiler::OfflineProfiler(ProfilerOptions options)
     : options_(std::move(options)), rng_(options_.seed) {
-  assert(!options_.bandwidth_fractions.empty());
   assert(options_.num_nodes >= 2);
 }
 
 double OfflineProfiler::RunIsolated(const WorkloadSpec& spec, double fraction, int num_nodes,
-                                    double link_bps, double throttle_floor) {
+                                    double throttle_floor) {
   assert(fraction > 0 && fraction <= 1.0);
   assert(throttle_floor >= 0 && throttle_floor <= 1.0);
   const double effective = std::max(fraction, throttle_floor);
   EventScheduler scheduler;
-  Network network(BuildSingleSwitchStar(num_nodes, RoundBps(link_bps * effective)));
+  Network network(BuildSingleSwitchStar(num_nodes, RoundBps(kProfileLinkBps * effective)));
   WfqMaxMinAllocator allocator;
   FlowSimulator flow_sim(&scheduler, &network, &allocator);
   NullNetworkPolicy policy;
@@ -42,14 +41,12 @@ double OfflineProfiler::RunIsolated(const WorkloadSpec& spec, double fraction, i
 }
 
 std::vector<Sample> OfflineProfiler::MeasureSlowdownCurve(const WorkloadSpec& spec) {
-  const double base = RunIsolated(spec, 1.0, spec.reference_nodes, options_.link_capacity_bps,
-                                  options_.throttle_floor) *
+  const double base = RunIsolated(spec, 1.0, spec.reference_nodes) *
                       std::exp(rng_.Normal(0.0, options_.noise_sigma));
   std::vector<Sample> samples;
-  samples.reserve(options_.bandwidth_fractions.size());
-  for (double fraction : options_.bandwidth_fractions) {
-    const double t = RunIsolated(spec, fraction, spec.reference_nodes,
-                                 options_.link_capacity_bps, options_.throttle_floor) *
+  samples.reserve(std::size(kBandwidthFractions));
+  for (double fraction : kBandwidthFractions) {
+    const double t = RunIsolated(spec, fraction, spec.reference_nodes) *
                      std::exp(rng_.Normal(0.0, options_.noise_sigma));
     samples.push_back({fraction, t / base});
   }
@@ -66,14 +63,12 @@ ProfileResult OfflineProfiler::Profile(const WorkloadSpec& spec) {
       spec.reference_nodes == options_.num_nodes ? spec : ScaleWorkload(spec, 1.0,
                                                                         options_.num_nodes);
 
-  const double base = RunIsolated(deployed, 1.0, options_.num_nodes,
-                                  options_.link_capacity_bps, options_.throttle_floor);
+  const double base = RunIsolated(deployed, 1.0, options_.num_nodes);
   result.base_completion_seconds = base;
   const double noisy_base = base * std::exp(rng_.Normal(0.0, options_.noise_sigma));
 
-  for (double fraction : options_.bandwidth_fractions) {
-    const double t = RunIsolated(deployed, fraction, options_.num_nodes,
-                                 options_.link_capacity_bps, options_.throttle_floor) *
+  for (double fraction : kBandwidthFractions) {
+    const double t = RunIsolated(deployed, fraction, options_.num_nodes) *
                      std::exp(rng_.Normal(0.0, options_.noise_sigma));
     result.samples.push_back({fraction, t / noisy_base});
   }
@@ -89,7 +84,7 @@ ProfileResult OfflineProfiler::Profile(const WorkloadSpec& spec) {
     // Scan only the fitted range (from the lowest profiled fraction): the
     // extrapolated tail below it is never trusted anyway.
     const Polynomial& poly = result.model.polynomial();
-    const double lo = options_.bandwidth_fractions.front();
+    const double lo = kBandwidthFractions[0];
     double running_min = poly.Evaluate(lo);
     double max_rise = 0;
     for (int i = 1; i <= 32; ++i) {

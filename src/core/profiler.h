@@ -20,22 +20,23 @@
 
 namespace saba {
 
+// §7.1: the bandwidth fractions the profiler sweeps.
+constexpr double kBandwidthFractions[] = {0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 1.00};
+// Unthrottled NIC/link capacity of a profiling run: the testbed's 56 Gb/s.
+constexpr double kProfileLinkBps = 56e9;
+// Minimum effective bandwidth fraction the NIC throttle can actually
+// enforce: at very low nominal rates the driver's token bucket leaks bursts,
+// so the achieved fraction saturates (the paper's testbed shows the same
+// saturation — LR slows only 4.5x at a nominal 10%, far less than a
+// proportional model predicts).
+constexpr double kThrottleFloor = 0.12;
+
 struct ProfilerOptions {
-  // §7.1: the bandwidth fractions the profiler sweeps.
-  std::vector<double> bandwidth_fractions = {0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 1.00};
   // Degree k of the fitted sensitivity model (the paper studies 1..3).
   size_t polynomial_degree = 3;
   // Profiling deployment size (8 nodes on the testbed, 18 in the at-scale
   // simulation).
   int num_nodes = 8;
-  // Unthrottled NIC/link capacity.
-  double link_capacity_bps = 56e9;
-  // Minimum effective bandwidth fraction the NIC throttle can actually
-  // enforce: at very low nominal rates the driver's token bucket leaks
-  // bursts, so the achieved fraction saturates (the paper's testbed shows
-  // the same saturation — LR slows only 4.5x at a nominal 10%, far less
-  // than a proportional model predicts).
-  double throttle_floor = 0.12;
   // Run-to-run measurement noise: each measured completion time is
   // multiplied by exp(N(0, sigma)). Real profiling runs are never exactly
   // repeatable; this is what keeps R^2 below 1 even for k = 3.
@@ -67,11 +68,11 @@ class OfflineProfiler {
   std::vector<Sample> MeasureSlowdownCurve(const WorkloadSpec& spec);
 
   // Runs `spec` alone on a star fabric of `num_nodes` hosts with every link
-  // throttled to `fraction` of `link_bps` (subject to `throttle_floor`),
+  // throttled to `fraction` of kProfileLinkBps (subject to `throttle_floor`),
   // returning the completion time in simulated seconds. Deterministic and
   // noise-free; the Profile() path adds noise.
   static double RunIsolated(const WorkloadSpec& spec, double fraction, int num_nodes,
-                            double link_bps, double throttle_floor = 0.12);
+                            double throttle_floor = kThrottleFloor);
 
   const ProfilerOptions& options() const { return options_; }
 

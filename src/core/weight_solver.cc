@@ -112,7 +112,6 @@ std::vector<double> SolveConvexCubicDual(const std::vector<Polynomial>& derivs, 
 
 WeightSolver::WeightSolver(WeightSolverOptions options) : options_(options) {
   assert(options_.capacity > 0);
-  assert(options_.min_weight >= 0);
 }
 
 WeightSolverResult WeightSolver::Solve(const std::vector<SensitivityModel>& models,
@@ -130,9 +129,8 @@ WeightSolverResult WeightSolver::Solve(const std::vector<SensitivityModel>& mode
 
   // The per-application floor: the absolute minimum, raised by the relative
   // (WRR-granularity) guarantee, kept feasible.
-  double min_weight =
-      std::max(options_.min_weight,
-               options_.relative_min_weight * options_.capacity / static_cast<double>(n));
+  double min_weight = std::max(
+      kMinWeight, options_.relative_min_weight * options_.capacity / static_cast<double>(n));
   if (min_weight * static_cast<double>(n) > options_.capacity) {
     min_weight = options_.capacity / static_cast<double>(n);
   }
@@ -142,18 +140,17 @@ WeightSolverResult WeightSolver::Solve(const std::vector<SensitivityModel>& mode
   constraints.lower_bound = min_weight;
   constraints.upper_bound = options_.capacity;
 
-  bool all_convex = true;
-  bool all_cubic_or_less = true;
+  bool closed_form = true;
   std::vector<Polynomial> derivs;
   derivs.reserve(n);
   for (const SensitivityModel& model : models) {
     const Polynomial& poly = model.polynomial();
-    all_convex = all_convex && poly.IsConvexOn(min_weight, options_.capacity);
-    all_cubic_or_less = all_cubic_or_less && poly.degree() <= 3;
+    closed_form = closed_form && poly.degree() <= 3 &&
+                  poly.IsConvexOn(min_weight, options_.capacity);
     derivs.push_back(poly.Derivative());
   }
 
-  if (all_convex && all_cubic_or_less) {
+  if (closed_form) {
     // Hot path: closed-form derivative inversion + dual bisection.
     std::vector<double> w =
         SolveConvexCubicDual(derivs, options_.capacity, min_weight, options_.capacity);
@@ -176,14 +173,7 @@ WeightSolverResult WeightSolver::Solve(const std::vector<SensitivityModel>& mode
          [deriv](double w) { return deriv.Evaluate(w); }});
   }
 
-  SimplexMinimizeResult sol;
-  if (all_convex) {
-    sol = MinimizeConvexSeparable(objectives, constraints);
-    result.used_convex_path = true;
-  } else {
-    assert(rng != nullptr);
-    sol = MinimizeSeparableProjectedGradient(objectives, constraints, rng);
-  }
+  SimplexMinimizeResult sol = MinimizeSeparableProjectedGradient(objectives, constraints, rng);
   result.weights = std::move(sol.weights);
   result.objective = sol.objective;
   return result;

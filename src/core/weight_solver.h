@@ -2,10 +2,11 @@
 //
 // Given the sensitivity models of the applications sending flows to a switch
 // output port, find weights W = argmin sum_i D_i(w_i) subject to
-// sum_i w_i = C_saba and w_i >= min_weight. The paper uses NLopt's SLSQP;
-// this solver picks an exact dual-bisection path when every model is convex
-// on the feasible interval (which well-fitted decreasing sensitivity models
-// are) and falls back to multi-start projected gradient otherwise.
+// sum_i w_i = C_saba and w_i >= a per-application floor. The paper uses
+// NLopt's SLSQP; this solver has two paths. When every model is convex on
+// the feasible interval and of degree <= 3 (the profiler fits degree <= 3),
+// it is exact: bisection on the multiplier lambda with a closed-form inverse
+// of each D_i'. Every other model goes to multi-start projected gradient.
 
 #ifndef SRC_CORE_WEIGHT_SOLVER_H_
 #define SRC_CORE_WEIGHT_SOLVER_H_
@@ -17,12 +18,13 @@
 
 namespace saba {
 
+// Absolute weight floor per application.
+constexpr double kMinWeight = 0.01;
+
 struct WeightSolverOptions {
   // C_saba: fraction of link capacity managed by Saba (1.0 in all the
   // paper's experiments).
   double capacity = 1.0;
-  // Absolute floor per application.
-  double min_weight = 0.01;
   // Relative floor: every application is guaranteed at least
   // relative_min_weight * capacity / n. This models the weight granularity
   // of real WRR arbitration tables (InfiniBand VL weights are small
@@ -44,8 +46,7 @@ class WeightSolver {
 
   // Solves Eq 2 for the given applications. `rng` seeds the projected-
   // gradient restarts (deterministic given the seed); it is unused on the
-  // convex path. Requires at least one model and
-  // models.size() * min_weight <= capacity.
+  // convex path. Requires at least one model.
   WeightSolverResult Solve(const std::vector<SensitivityModel>& models, Rng* rng) const;
 
   const WeightSolverOptions& options() const { return options_; }

@@ -7,6 +7,11 @@ namespace saba {
 
 std::vector<JobSpec> GenerateClusterSetup(const std::vector<WorkloadSpec>& catalog,
                                           const ClusterSetupOptions& options, Rng* rng) {
+  // Each job draws a dataset scale, and an instance count as a multiple of
+  // the profiler's 8-node deployment.
+  constexpr double kDatasetScales[] = {0.1, 1.0, 10.0};
+  constexpr double kNodeMultipliers[] = {0.5, 1.0, 2.0, 3.0, 4.0};
+  constexpr int kProfilingNodes = 8;
   assert(!catalog.empty());
   assert(options.num_servers >= 2);
   assert(rng != nullptr);
@@ -17,9 +22,9 @@ std::vector<JobSpec> GenerateClusterSetup(const std::vector<WorkloadSpec>& catal
 
   for (int j = 0; j < options.jobs_per_setup; ++j) {
     const WorkloadSpec& base = rng->Choice(catalog);
-    const double dataset = rng->Choice(options.dataset_scales);
-    const double multiplier = rng->Choice(options.node_multipliers);
-    int nodes = static_cast<int>(multiplier * options.profiling_nodes + 0.5);
+    const double dataset = rng->Choice(kDatasetScales);
+    const double multiplier = rng->Choice(kNodeMultipliers);
+    int nodes = static_cast<int>(multiplier * kProfilingNodes + 0.5);
     nodes = std::clamp(nodes, 2, options.num_servers);
 
     // Place on the least-loaded servers, randomized among ties: shuffle,
@@ -39,7 +44,7 @@ std::vector<JobSpec> GenerateClusterSetup(const std::vector<WorkloadSpec>& catal
     job.spec = ScaleWorkload(base, dataset, nodes);
     for (int i = 0; i < nodes; ++i) {
       const NodeId server = servers[static_cast<size_t>(i)];
-      assert(load[static_cast<size_t>(server)] < options.max_jobs_per_server &&
+      assert(load[static_cast<size_t>(server)] < kMaxJobsPerServer &&
              "placement constraint violated: raise num_servers or lower jobs_per_setup");
       load[static_cast<size_t>(server)] += 1;
       job.hosts.push_back(server);

@@ -17,14 +17,12 @@
 
 namespace saba {
 
+// The placement constraint: at most this many jobs share a server.
+constexpr int kMaxJobsPerServer = 16;
+
 struct ClusterSetupOptions {
   int num_servers = 32;
   int jobs_per_setup = 16;
-  // The profiler's deployment size; node multipliers are relative to it.
-  int profiling_nodes = 8;
-  std::vector<double> dataset_scales = {0.1, 1.0, 10.0};
-  std::vector<double> node_multipliers = {0.5, 1.0, 2.0, 3.0, 4.0};
-  int max_jobs_per_server = 16;
   // Jobs start uniformly within this window, so stages never run in
   // lockstep.
   double start_jitter_seconds = 5.0;

@@ -61,11 +61,12 @@ int EnvInt(const char* name, int fallback) {
   return static_cast<int>(*parsed);
 }
 
-uint64_t EnvSeed(uint64_t fallback) {
+uint64_t EnvSeed() {
+  constexpr uint64_t kDefaultSeed = 42;
   const char* value = std::getenv("SABA_SEED");
   if (value == nullptr) {
-    RecordKnob("SABA_SEED", std::to_string(fallback), /*from_env=*/false);
-    return fallback;
+    RecordKnob("SABA_SEED", std::to_string(kDefaultSeed), /*from_env=*/false);
+    return kDefaultSeed;
   }
   const std::optional<uint64_t> parsed = ParseUint64(value);
   if (!parsed.has_value()) {

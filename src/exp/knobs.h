@@ -22,8 +22,8 @@ namespace saba {
 // value aborts the process with a message naming the knob.
 int EnvInt(const char* name, int fallback);
 
-// SABA_SEED (same strictness as EnvInt; full uint64 range).
-uint64_t EnvSeed(uint64_t fallback = 42);
+// SABA_SEED (same strictness as EnvInt; full uint64 range), 42 when unset.
+uint64_t EnvSeed();
 
 // SABA_JOBS: worker-thread count for SweepRunner. Unset or 0 means "all
 // hardware threads". Negative values are rejected.

@@ -96,10 +96,10 @@ bool WithinFabricBudget(double nodes, double duplex_links) {
 
 // Builds the fabric of a `topology` line from its kind and its key=value
 // parameters (every value already known to be a number). Rejects, with a
-// message, any parameter set the topology builders would abort or hang on:
-// counts must be integers, capacities positive, every pod needs a ToR and a
-// leaf, a multi-pod fabric needs a spine, and the fabric must be within the
-// budget.
+// message, an unknown kind, a key its kind does not take, and any parameter
+// set the topology builders would abort or hang on: counts must be integers,
+// capacities positive, every pod needs a ToR and a leaf, a multi-pod fabric
+// needs a spine, and the fabric must be within the budget.
 std::optional<Topology> BuildTopologyLine(const std::string& kind,
                                           const std::map<std::string, std::string>& kv,
                                           std::string* error) {
@@ -107,6 +107,19 @@ std::optional<Topology> BuildTopologyLine(const std::string& kind,
     *error = message;
     return std::optional<Topology>();
   };
+  const std::map<std::string, std::vector<std::string>> kind_keys = {
+      {"star", {"servers", "capacity_gbps"}},
+      {"spineleaf", {"spine", "leaf", "tor", "hosts_per_tor", "pods", "capacity_gbps"}},
+      {"fattree", {"k", "capacity_gbps", "core_gbps"}}};
+  const auto keys = kind_keys.find(kind);
+  if (keys == kind_keys.end()) {
+    return reject("unknown topology kind '" + kind + "'");
+  }
+  for (const auto& [key, value] : kv) {
+    if (std::ranges::find(keys->second, key) == keys->second.end()) {
+      return reject("unknown " + kind + " parameter '" + key + "'");
+    }
+  }
   auto over_budget = [&]() {
     std::string message = kind + " is too large: a fabric has at most ";
     message += std::to_string(kMaxFabricNodes) + " nodes and ";
@@ -172,25 +185,23 @@ std::optional<Topology> BuildTopologyLine(const std::string& kind,
     }
     return BuildSpineLeaf(params);
   }
-  if (kind == "fattree") {
-    FatTreeParams params;
-    params.k = count("k", 4);
-    params.host_link_bps = params.edge_agg_bps = capacity;
-    const double core_gbps = gbps("core_gbps", capacity_gbps);
-    params.agg_core_bps = Gbps64(core_gbps);
-    if (params.k < 2 || params.k % 2 != 0) {
-      return reject("fattree needs an even k >= 2");
-    }
-    if (core_gbps < kMinCapacityGbps) {
-      return reject("fattree core_gbps must be at least 0.001");
-    }
-    const double k = params.k;
-    if (!WithinFabricBudget(k * k * k / 4 + 5 * k * k / 4, 3 * k * k * k / 4)) {
-      return over_budget();
-    }
-    return BuildFatTree(params);
+  // kind == "fattree".
+  FatTreeParams params;
+  params.k = count("k", 4);
+  params.host_link_bps = params.edge_agg_bps = capacity;
+  const double core_gbps = gbps("core_gbps", capacity_gbps);
+  params.agg_core_bps = Gbps64(core_gbps);
+  if (params.k < 2 || params.k % 2 != 0) {
+    return reject("fattree needs an even k >= 2");
   }
-  return reject("unknown topology kind '" + kind + "'");
+  if (core_gbps < kMinCapacityGbps) {
+    return reject("fattree core_gbps must be at least 0.001");
+  }
+  const double k = params.k;
+  if (!WithinFabricBudget(k * k * k / 4 + 5 * k * k / 4, 3 * k * k * k / 4)) {
+    return over_budget();
+  }
+  return BuildFatTree(params);
 }
 
 }  // namespace
@@ -222,7 +233,7 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
 
     if (directive == "topology") {
       if (rest.empty()) {
-        Fail(error, line_number, "topology needs a kind (star | spineleaf)");
+        Fail(error, line_number, "topology needs a kind (star | spineleaf | fattree)");
         return std::nullopt;
       }
       std::map<std::string, std::string> kv;

@@ -19,7 +19,8 @@
 // Topologies: `star servers=N capacity_gbps=C`,
 // `spineleaf spine=S leaf=L tor=T hosts_per_tor=H pods=P capacity_gbps=C`, or
 // `fattree k=K capacity_gbps=C core_gbps=C2` (core_gbps defaults to
-// capacity_gbps; lower it for an oversubscribed core). Counts are integers,
+// capacity_gbps; lower it for an oversubscribed core). A kind takes only its
+// own keys; any other key is an error. Counts are integers,
 // capacities at least 0.001 Gb/s; every spine-leaf pod needs a ToR and a
 // leaf, and more than one pod needs a spine. A fabric has at most 173,184
 // nodes and 1,486,080 directed links (16x the fig11-scale fabric). The FECN

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <deque>
 
+#include "src/net/units.h"
 #include "src/sim/event_scheduler.h"
 
 namespace saba {
@@ -88,7 +89,7 @@ class PacketEngine {
       flow.to_inject =
           spec.total_bits < 0
               ? -1
-              : static_cast<int64_t>(spec.total_bits / config_.packet_bits);
+              : static_cast<int64_t>(spec.total_bits / kPacketBits);
       flows_.push_back(std::move(flow));
     }
   }
@@ -243,7 +244,7 @@ class PacketEngine {
     // quantum); the +1 covers the initial state.
     for (size_t attempt = 0; attempt < 2 * num_queues + 1; ++attempt) {
       QueueState& queue = port.queues[port.queue_cursor];
-      if (queue_eligible(queue) && queue.deficit >= config_.packet_bits) {
+      if (queue_eligible(queue) && queue.deficit >= kPacketBits) {
         // Intra-queue DRR: grant intra quanta until some eligible lane can
         // send (bounded by 1/min_intra_weight passes).
         for (int pass = 0; pass < 16; ++pass) {
@@ -257,10 +258,10 @@ class PacketEngine {
               continue;
             }
             lane.deficit +=
-                flows_[static_cast<size_t>(lane.flow)].intra_weight * config_.packet_bits;
-            if (lane.deficit >= config_.packet_bits) {
-              lane.deficit -= config_.packet_bits;
-              queue.deficit -= config_.packet_bits;
+                flows_[static_cast<size_t>(lane.flow)].intra_weight * kPacketBits;
+            if (lane.deficit >= kPacketBits) {
+              lane.deficit -= kPacketBits;
+              queue.deficit -= kPacketBits;
               queue.cursor = (idx + 1) % lanes;
               StartTransmission(link, port.queue_cursor, idx);
               return;
@@ -280,8 +281,8 @@ class PacketEngine {
       if (queue_eligible(next)) {
         next.deficit = std::min(
             next.deficit + config.queue_weights[port.queue_cursor] / min_weight *
-                               config_.packet_bits,
-            2.0 * config.queue_weights[port.queue_cursor] / min_weight * config_.packet_bits);
+                               kPacketBits,
+            2.0 * config.queue_weights[port.queue_cursor] / min_weight * kPacketBits);
       } else if (attempt >= num_queues) {
         // A full round found nothing eligible anywhere: idle until a kick.
         bool any = false;
@@ -315,7 +316,7 @@ class PacketEngine {
       next.reserved += 1;  // Credit taken downstream.
     }
     const double serialization =
-        config_.packet_bits / network_->topology().link(link).capacity_bps;
+        kPacketBits / network_->topology().link(link).capacity_bps;
     scheduler_.ScheduleAfter(serialization, [this, link, q, flow, hop, final_hop] {
       FinishTransmission(link, q, flow, hop, final_hop);
     });
@@ -342,7 +343,7 @@ class PacketEngine {
     }
 
     if (final_hop) {
-      flows_[static_cast<size_t>(flow)].delivered_bits += config_.packet_bits;
+      flows_[static_cast<size_t>(flow)].delivered_bits += kPacketBits;
     } else {
       QueueState& next = QueueOf(flow, hop + 1);
       next.reserved -= 1;
@@ -393,7 +394,6 @@ PacketSimResult RunPacketSim(Network* network, const std::vector<PacketFlowSpec>
                              const PacketSimConfig& config) {
   assert(network != nullptr);
   assert(!flows.empty());
-  assert(config.packet_bits > 0);
   assert(config.buffer_packets >= 2);
   assert(config.horizon_seconds > 0);
   PacketEngine engine(network, flows, config);

@@ -35,8 +35,8 @@ struct PacketFlowSpec {
   uint64_t path_salt = 0;
 };
 
+// Packets are kPacketBits (units.h) long.
 struct PacketSimConfig {
-  double packet_bits = 8.0 * 1500;
   // Buffer slots per (port, queue) — the credit pool of a VL.
   int buffer_packets = 16;
   // Simulated horizon.

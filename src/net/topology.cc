@@ -81,7 +81,7 @@ std::vector<NodeId> Topology::Switches() const {
   return switches;
 }
 
-Topology BuildSingleSwitchStar(int num_hosts, Bps64 link_capacity_bps) {
+Topology BuildSingleSwitchStar(int num_hosts, Bps64 capacity_bps) {
   assert(num_hosts >= 2);
   Topology topo;
   std::vector<NodeId> hosts;
@@ -91,7 +91,7 @@ Topology BuildSingleSwitchStar(int num_hosts, Bps64 link_capacity_bps) {
   }
   const NodeId sw = topo.AddNode(NodeKind::kSwitch);
   for (NodeId h : hosts) {
-    topo.AddDuplexLink(h, sw, link_capacity_bps);
+    topo.AddDuplexLink(h, sw, capacity_bps);
   }
   return topo;
 }

@@ -121,8 +121,8 @@ class Topology {
 };
 
 // Builder for the testbed-style star: `num_hosts` hosts on one switch, every
-// host link at `link_capacity_bps` (the paper's testbed uses 56 Gb/s).
-Topology BuildSingleSwitchStar(int num_hosts, Bps64 link_capacity_bps);
+// host link at `capacity_bps` (the paper's testbed uses 56 Gb/s).
+Topology BuildSingleSwitchStar(int num_hosts, Bps64 capacity_bps);
 
 // Parameters for the three-tier spine-leaf fabric of §8.1.
 struct SpineLeafParams {

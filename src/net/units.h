@@ -76,6 +76,10 @@ inline constexpr double Kilobytes(double x) { return x * 8e3; }
 inline constexpr double Megabytes(double x) { return x * 8e6; }
 inline constexpr double Gigabytes(double x) { return x * 8e9; }
 
+// The packet size of the packet-level references (wrr_reference.h,
+// packet_sim.h): one MTU.
+inline constexpr double kPacketBits = Bytes(1500);
+
 // Scheduling weights on a fixed 2^20 grid. Weight sums stay below 2^63 for
 // any realistic flow count (the allocator asserts w <= 2^20, so a single
 // quantized weight is at most 2^40 and 4M flows sum below 2^62).

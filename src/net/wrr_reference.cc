@@ -36,7 +36,6 @@ WrrResult SimulateWrrPort(const WrrPortSpec& port, const std::vector<WrrFlowSpec
                           double horizon_seconds) {
   assert(port.capacity_bps > 0);
   assert(!port.queue_weights.empty());
-  assert(port.packet_bits > 0);
   assert(horizon_seconds > 0);
 
   std::vector<QueueState> queues(port.queue_weights.size());
@@ -58,7 +57,7 @@ WrrResult SimulateWrrPort(const WrrPortSpec& port, const std::vector<WrrFlowSpec
     queues[static_cast<size_t>(flows[f].queue)].flow_ids.push_back(static_cast<int>(f));
   }
 
-  const int64_t packet_bits = port.packet_bits;
+  constexpr int64_t packet_bits = static_cast<int64_t>(kPacketBits);
   const int64_t queue_packet_cost = min_weight_units * packet_bits;
   const int64_t flow_packet_cost = kWeightScale * packet_bits;
   const int64_t budget =

@@ -33,10 +33,10 @@ struct WrrFlowSpec {
   double total_bits = -1;  // < 0 => always backlogged.
 };
 
+// Packets are kPacketBits (units.h) long.
 struct WrrPortSpec {
   Bps64 capacity_bps = 0;
   std::vector<double> queue_weights;  // One per queue; > 0.
-  int64_t packet_bits = 8 * 1500;     // MTU-sized packets by default.
 };
 
 struct WrrResult {

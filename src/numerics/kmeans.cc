@@ -8,6 +8,13 @@
 namespace saba {
 namespace {
 
+// Lloyd iterations per run, the convergence threshold on centroid movement
+// (max over centroids of the squared displacement in one iteration), and the
+// independent runs of which the lowest inertia wins.
+constexpr size_t kMaxIterations = 100;
+constexpr double kTolerance = 1e-10;
+constexpr size_t kRestarts = 4;
+
 // k-means++ seeding: first centroid uniform, subsequent centroids sampled
 // proportionally to squared distance from the nearest already-chosen one.
 std::vector<std::vector<double>> SeedPlusPlus(const std::vector<std::vector<double>>& points,
@@ -47,16 +54,13 @@ std::vector<std::vector<double>> SeedPlusPlus(const std::vector<std::vector<doub
   return centroids;
 }
 
-KMeansResult LloydOnce(const std::vector<std::vector<double>>& points, size_t k, Rng* rng,
-                       const KMeansOptions& options) {
+KMeansResult LloydOnce(const std::vector<std::vector<double>>& points, size_t k, Rng* rng) {
   KMeansResult result;
   result.centroids = SeedPlusPlus(points, k, rng);
   result.assignment.assign(points.size(), 0);
 
   const size_t dim = points[0].size();
-  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-
+  for (size_t iter = 0; iter < kMaxIterations; ++iter) {
     // Assignment step.
     for (size_t i = 0; i < points.size(); ++i) {
       double best = std::numeric_limits<double>::infinity();
@@ -110,7 +114,7 @@ KMeansResult LloydOnce(const std::vector<std::vector<double>>& points, size_t k,
       }
       result.centroids[c] = std::move(next);
     }
-    if (max_move2 <= options.tolerance) {
+    if (max_move2 <= kTolerance) {
       break;
     }
   }
@@ -124,8 +128,7 @@ KMeansResult LloydOnce(const std::vector<std::vector<double>>& points, size_t k,
 
 }  // namespace
 
-KMeansResult KMeans(const std::vector<std::vector<double>>& points, size_t k, Rng* rng,
-                    const KMeansOptions& options) {
+KMeansResult KMeans(const std::vector<std::vector<double>>& points, size_t k, Rng* rng) {
   assert(!points.empty());
   assert(k >= 1);
   assert(rng != nullptr);
@@ -133,9 +136,8 @@ KMeansResult KMeans(const std::vector<std::vector<double>>& points, size_t k, Rn
 
   KMeansResult best;
   best.inertia = std::numeric_limits<double>::infinity();
-  const size_t restarts = std::max<size_t>(1, options.restarts);
-  for (size_t r = 0; r < restarts; ++r) {
-    KMeansResult run = LloydOnce(points, k, rng, options);
+  for (size_t r = 0; r < kRestarts; ++r) {
+    KMeansResult run = LloydOnce(points, k, rng);
     if (run.inertia < best.inertia) {
       best = std::move(run);
     }

@@ -24,24 +24,14 @@ struct KMeansResult {
   // Sum over points of squared distance to their centroid (the k-means
   // objective at convergence).
   double inertia = 0;
-  // Lloyd iterations executed.
-  size_t iterations = 0;
-};
-
-struct KMeansOptions {
-  size_t max_iterations = 100;
-  // Convergence threshold on centroid movement (max over centroids of the
-  // squared displacement in one iteration).
-  double tolerance = 1e-10;
-  // Independent restarts; the run with the lowest inertia wins.
-  size_t restarts = 4;
 };
 
 // Clusters `points` (all the same dimension, at least one point) into
-// min(k, points.size()) groups. `rng` drives the k-means++ seeding; with a
+// min(k, points.size()) groups: four k-means++-seeded Lloyd runs of at most
+// 100 iterations each, stopping once no centroid moves by more than 1e-5;
+// the run with the lowest inertia wins. `rng` drives the seeding; with a
 // fixed seed the result is deterministic.
-KMeansResult KMeans(const std::vector<std::vector<double>>& points, size_t k, Rng* rng,
-                    const KMeansOptions& options = {});
+KMeansResult KMeans(const std::vector<std::vector<double>>& points, size_t k, Rng* rng);
 
 }  // namespace saba
 

@@ -8,6 +8,14 @@
 namespace saba {
 namespace {
 
+// Projected gradient: iterations per restart, the objective improvement
+// below which a restart stops, restarts (the best result wins), and the
+// first trial step.
+constexpr size_t kMaxIterations = 500;
+constexpr double kTolerance = 1e-10;
+constexpr size_t kRestarts = 6;
+constexpr double kInitialStep = 0.25;
+
 double Clamp(double x, double lo, double hi) { return std::min(std::max(x, lo), hi); }
 
 double TotalObjective(const std::vector<ScalarObjective>& objectives,
@@ -78,89 +86,9 @@ std::vector<double> ProjectToCapacitySimplex(const std::vector<double>& v,
   return w;
 }
 
-SimplexMinimizeResult MinimizeConvexSeparable(const std::vector<ScalarObjective>& objectives,
-                                              const SimplexConstraints& constraints) {
-  const size_t n = objectives.size();
-  assert(n > 0);
-  const double lo = constraints.lower_bound;
-  const double hi = constraints.upper_bound;
-
-  // KKT: w_i minimizes f_i(w_i) - lambda*w_i over [lo, hi]; for convex f_i the
-  // minimizer is w_i(lambda) = clamp((f_i')^{-1}(lambda), lo, hi), found by
-  // bisection on w since f_i' is non-decreasing. sum_i w_i(lambda) is
-  // non-decreasing in lambda, so an outer bisection matches the capacity.
-  auto w_of_lambda = [&](size_t i, double lambda) {
-    const auto& df = objectives[i].derivative;
-    if (df(lo) >= lambda) {
-      return lo;
-    }
-    if (df(hi) <= lambda) {
-      return hi;
-    }
-    double a = lo;
-    double b = hi;
-    for (int it = 0; it < 80; ++it) {
-      const double m = 0.5 * (a + b);
-      if (df(m) < lambda) {
-        if (a == m) break;  // Fixed point: the bracket can no longer move.
-        a = m;
-      } else {
-        if (b == m) break;
-        b = m;
-      }
-    }
-    return 0.5 * (a + b);
-  };
-
-  double lambda_lo = std::numeric_limits<double>::infinity();
-  double lambda_hi = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    lambda_lo = std::min(lambda_lo, objectives[i].derivative(lo));
-    lambda_hi = std::max(lambda_hi, objectives[i].derivative(hi));
-  }
-  // Widen slightly so the bracket is strict even with flat derivatives.
-  lambda_lo -= 1.0;
-  lambda_hi += 1.0;
-
-  SimplexMinimizeResult result;
-  // This loop historically ran its full cap unconditionally — 200 outer
-  // times n * 80 inner derivative evaluations per solve — which is what made
-  // the "generic path" weight-solve benchmarks two orders of magnitude
-  // slower than the closed-form convex path. The dual bracket collapses to
-  // adjacent floats after ~60 halvings; past that point every iteration is a
-  // bit-identical no-op, so the fixed-point exits here and in w_of_lambda
-  // change nothing but wall-clock.
-  for (int it = 0; it < 200; ++it) {
-    const double lambda = 0.5 * (lambda_lo + lambda_hi);
-    double s = 0;
-    for (size_t i = 0; i < n; ++i) {
-      s += w_of_lambda(i, lambda);
-    }
-    result.iterations = static_cast<size_t>(it) + 1;
-    if (s < constraints.capacity) {
-      if (lambda_lo == lambda) break;
-      lambda_lo = lambda;
-    } else {
-      if (lambda_hi == lambda) break;
-      lambda_hi = lambda;
-    }
-  }
-  const double lambda = 0.5 * (lambda_lo + lambda_hi);
-  std::vector<double> w(n);
-  for (size_t i = 0; i < n; ++i) {
-    w[i] = w_of_lambda(i, lambda);
-  }
-  // Tighten the equality constraint exactly (bisection leaves ~1e-12 slack).
-  w = ProjectToCapacitySimplex(w, constraints);
-  result.weights = std::move(w);
-  result.objective = TotalObjective(objectives, result.weights);
-  result.converged = true;
-  return result;
-}
-
 SimplexMinimizeResult MinimizeSeparableProjectedGradient(
     const std::vector<ScalarObjective>& objectives, const SimplexConstraints& constraints,
-    Rng* rng, const ProjectedGradientOptions& options) {
+    Rng* rng) {
   const size_t n = objectives.size();
   assert(n > 0);
   assert(rng != nullptr);
@@ -168,8 +96,7 @@ SimplexMinimizeResult MinimizeSeparableProjectedGradient(
   SimplexMinimizeResult best;
   best.objective = std::numeric_limits<double>::infinity();
 
-  const size_t restarts = std::max<size_t>(1, options.restarts);
-  for (size_t restart = 0; restart < restarts; ++restart) {
+  for (size_t restart = 0; restart < kRestarts; ++restart) {
     // Start point: equal split on the first restart, then random feasible
     // points (exponential draws normalized onto the simplex).
     std::vector<double> w(n, constraints.capacity / static_cast<double>(n));
@@ -186,17 +113,14 @@ SimplexMinimizeResult MinimizeSeparableProjectedGradient(
     }
 
     double fw = TotalObjective(objectives, w);
-    double step = options.initial_step;
-    size_t iterations = 0;
-    bool converged = false;
-    for (size_t it = 0; it < options.max_iterations; ++it) {
-      iterations = it + 1;
+    double step = kInitialStep;
+    for (size_t it = 0; it < kMaxIterations; ++it) {
       std::vector<double> grad(n);
       for (size_t i = 0; i < n; ++i) {
         grad[i] = objectives[i].derivative(w[i]);
       }
       // Backtracking line search on the projected step.
-      bool improved = false;
+      double gain = 0;  // Stays 0 when no step improves.
       double trial_step = step;
       for (int bt = 0; bt < 30; ++bt) {
         std::vector<double> cand(n);
@@ -206,23 +130,15 @@ SimplexMinimizeResult MinimizeSeparableProjectedGradient(
         cand = ProjectToCapacitySimplex(cand, constraints);
         const double fc = TotalObjective(objectives, cand);
         if (fc < fw - 1e-15) {
-          const double gain = fw - fc;
+          gain = fw - fc;
           w = std::move(cand);
           fw = fc;
-          improved = true;
           step = trial_step * 1.5;  // Allow the step to grow again.
-          if (gain < options.tolerance) {
-            converged = true;
-          }
           break;
         }
         trial_step *= 0.5;
       }
-      if (!improved) {
-        converged = true;
-        break;
-      }
-      if (converged) {
+      if (gain < kTolerance) {
         break;
       }
     }
@@ -230,8 +146,6 @@ SimplexMinimizeResult MinimizeSeparableProjectedGradient(
     if (fw < best.objective) {
       best.weights = w;
       best.objective = fw;
-      best.iterations = iterations;
-      best.converged = converged;
     }
   }
   return best;

@@ -5,24 +5,16 @@
 //     min  sum_i D_i(w_i)   subject to   sum_i w_i = C_saba,  w_i >= w_min
 //
 // where each D_i is an application's polynomial sensitivity model. The paper
-// uses NLopt's SLSQP; this in-tree replacement provides two paths:
-//
-//  * DualBisection — exact for convex non-increasing D_i: the KKT conditions
-//    reduce to finding a multiplier lambda with D_i'(w_i) = lambda (clamped to
-//    the box); sum_i w_i(lambda) is monotone in lambda, so bisection finds it
-//    to machine precision.
-//  * ProjectedGradient — general (handles non-convex fits from noisy
-//    profiles): gradient descent with backtracking, re-projected onto the
-//    constraint set after every step, with multiple random restarts.
-//
-// The weight solver in src/core picks the dual path when every model is
-// convex on the feasible range and falls back to projected gradient
-// otherwise.
+// uses NLopt's SLSQP; this module provides the general in-tree replacement,
+// projected gradient (handles non-convex fits from noisy profiles): gradient
+// descent with backtracking, re-projected onto the constraint set after every
+// step, with multiple random restarts. The weight solver in src/core solves
+// convex models of degree <= 3 in closed form and sends every other model
+// here.
 
 #ifndef SRC_NUMERICS_SIMPLEX_OPTIMIZER_H_
 #define SRC_NUMERICS_SIMPLEX_OPTIMIZER_H_
 
-#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -49,8 +41,6 @@ struct SimplexConstraints {
 struct SimplexMinimizeResult {
   std::vector<double> weights;
   double objective = 0;
-  size_t iterations = 0;
-  bool converged = false;
 };
 
 // Projects `v` onto {w : sum w = c.capacity, c.lower_bound <= w_i <=
@@ -59,24 +49,12 @@ struct SimplexMinimizeResult {
 std::vector<double> ProjectToCapacitySimplex(const std::vector<double>& v,
                                              const SimplexConstraints& c);
 
-// Exact minimizer for *convex* objectives via bisection on the dual
-// multiplier. Behaviour is unspecified (may return a KKT point of poor
-// quality) if any objective is non-convex on the box.
-SimplexMinimizeResult MinimizeConvexSeparable(const std::vector<ScalarObjective>& objectives,
-                                              const SimplexConstraints& constraints);
-
-struct ProjectedGradientOptions {
-  size_t max_iterations = 500;
-  double tolerance = 1e-10;  // Stop when the objective improves less than this.
-  size_t restarts = 6;       // Random restarts; best result wins.
-  double initial_step = 0.25;
-};
-
 // General minimizer: projected gradient descent with backtracking line search
-// and random restarts. Deterministic given the Rng seed.
+// and six restarts (an equal split, then random feasible points); the best
+// result wins. Deterministic given the Rng seed.
 SimplexMinimizeResult MinimizeSeparableProjectedGradient(
     const std::vector<ScalarObjective>& objectives, const SimplexConstraints& constraints,
-    Rng* rng, const ProjectedGradientOptions& options = {});
+    Rng* rng);
 
 }  // namespace saba
 

@@ -58,11 +58,11 @@ class Rng {
     }
   }
 
-  // Uniformly chooses one element. Requires a non-empty vector.
-  template <typename T>
-  const T& Choice(const std::vector<T>& v) {
-    assert(!v.empty());
-    return v[static_cast<size_t>(UniformInt(0, static_cast<int64_t>(v.size()) - 1))];
+  // Uniformly chooses one element. Requires a non-empty vector or array.
+  template <typename Container>
+  const auto& Choice(const Container& v) {
+    assert(std::size(v) > 0);
+    return v[static_cast<size_t>(UniformInt(0, static_cast<int64_t>(std::size(v)) - 1))];
   }
 
   // Seed of stream `stream_index` under `root_seed`: both words are pushed

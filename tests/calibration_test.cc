@@ -6,15 +6,14 @@
 #include <gtest/gtest.h>
 
 #include "src/core/profiler.h"
-#include "src/net/units.h"
 #include "src/workload/workload_catalog.h"
 
 namespace saba {
 namespace {
 
 double SlowdownAt(const WorkloadSpec& spec, double fraction) {
-  const double base = OfflineProfiler::RunIsolated(spec, 1.0, 8, Gbps(56));
-  const double throttled = OfflineProfiler::RunIsolated(spec, fraction, 8, Gbps(56));
+  const double base = OfflineProfiler::RunIsolated(spec, 1.0, 8);
+  const double throttled = OfflineProfiler::RunIsolated(spec, fraction, 8);
   return throttled / base;
 }
 
@@ -72,16 +71,16 @@ TEST(CalibrationSummaryTest, PrBaseCompletionNearPaperTimeline) {
   // Fig 2b: PR completes in ~310 s at 75% bandwidth, ~427 s at 25%.
   const WorkloadSpec* pr = FindWorkload("PR");
   ASSERT_NE(pr, nullptr);
-  EXPECT_NEAR(OfflineProfiler::RunIsolated(*pr, 0.75, 8, Gbps(56)), 310, 40);
-  EXPECT_NEAR(OfflineProfiler::RunIsolated(*pr, 0.25, 8, Gbps(56)), 427, 60);
+  EXPECT_NEAR(OfflineProfiler::RunIsolated(*pr, 0.75, 8), 310, 40);
+  EXPECT_NEAR(OfflineProfiler::RunIsolated(*pr, 0.25, 8), 427, 60);
 }
 
 TEST(CalibrationSummaryTest, LrCompletionRatioNearPaperTimeline) {
   // §2.3: LR goes from 172 s at 75% to 447 s at 25% (2.59x).
   const WorkloadSpec* lr = FindWorkload("LR");
   ASSERT_NE(lr, nullptr);
-  const double t75 = OfflineProfiler::RunIsolated(*lr, 0.75, 8, Gbps(56));
-  const double t25 = OfflineProfiler::RunIsolated(*lr, 0.25, 8, Gbps(56));
+  const double t75 = OfflineProfiler::RunIsolated(*lr, 0.75, 8);
+  const double t25 = OfflineProfiler::RunIsolated(*lr, 0.25, 8);
   EXPECT_NEAR(t25 / t75, 2.59, 0.3);
 }
 

@@ -141,7 +141,7 @@ TEST(ClusterSetupTest, RespectsPlacementConstraints) {
       EXPECT_LE(static_cast<int>(job.hosts.size()), options.num_servers);
     }
     for (int l : load) {
-      EXPECT_LE(l, options.max_jobs_per_server);
+      EXPECT_LE(l, kMaxJobsPerServer);
     }
   }
 }

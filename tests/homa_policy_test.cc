@@ -21,7 +21,7 @@ class HomaTest : public ::testing::Test {
 };
 
 TEST_F(HomaTest, PriorityClassesOrderedBySize) {
-  HomaScheduler homa(&flow_sim_, {.num_priorities = 8, .cutoff_bits = Kilobytes(10)});
+  HomaScheduler homa(&flow_sim_, {.num_priorities = 8});
   // Larger remaining size -> numerically larger (worse) class.
   EXPECT_LE(homa.PriorityFor(Bytes(100)), homa.PriorityFor(Kilobytes(1)));
   EXPECT_LE(homa.PriorityFor(Kilobytes(1)), homa.PriorityFor(Kilobytes(8)));
@@ -30,19 +30,19 @@ TEST_F(HomaTest, PriorityClassesOrderedBySize) {
 
 TEST_F(HomaTest, AllLargeFlowsShareBottomClass) {
   // The paper's point: every flow beyond the cutoff lands in one queue.
-  HomaScheduler homa(&flow_sim_, {.num_priorities = 8, .cutoff_bits = Kilobytes(10)});
+  HomaScheduler homa(&flow_sim_, {.num_priorities = 8});
   EXPECT_EQ(homa.PriorityFor(Kilobytes(11)), 7);
   EXPECT_EQ(homa.PriorityFor(Megabytes(100)), 7);
   EXPECT_EQ(homa.PriorityFor(Gigabytes(5)), 7);
 }
 
 TEST_F(HomaTest, TinyFlowsGetTopClass) {
-  HomaScheduler homa(&flow_sim_, {.num_priorities = 8, .cutoff_bits = Kilobytes(10)});
+  HomaScheduler homa(&flow_sim_, {.num_priorities = 8});
   EXPECT_EQ(homa.PriorityFor(Bytes(10)), 0);
 }
 
 TEST_F(HomaTest, ShortMessageFinishesAheadOfBulkTransfer) {
-  HomaScheduler homa(&flow_sim_, {.num_priorities = 8, .cutoff_bits = Kilobytes(10)});
+  HomaScheduler homa(&flow_sim_, {.num_priorities = 8});
   SimTime short_done = -1;
   SimTime bulk_done = -1;
   // Bulk transfer hogging host1 ingress.
@@ -77,7 +77,7 @@ TEST_F(HomaTest, EqualSizedBulkFlowsShareFairly) {
 
 TEST_F(HomaTest, PrioritiesRefreshAsFlowsDrain) {
   // A flow that starts above the cutoff ends below it and gains priority.
-  HomaScheduler homa(&flow_sim_, {.num_priorities = 8, .cutoff_bits = Kilobytes(10)});
+  HomaScheduler homa(&flow_sim_, {.num_priorities = 8});
   const FlowId id = flow_sim_.StartFlow(0, 0, 1, Kilobytes(12), 0, 0, nullptr);
   scheduler_.RunUntil(1e-7);
   int initial = -1;

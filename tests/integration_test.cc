@@ -125,7 +125,7 @@ class CatalogPropertyTest : public ::testing::TestWithParam<int> {
 TEST_P(CatalogPropertyTest, SlowdownMonotoneInBandwidth) {
   double previous = -1;
   for (double fraction : {1.0, 0.75, 0.5, 0.25, 0.15}) {
-    const double t = OfflineProfiler::RunIsolated(spec(), fraction, 8, Gbps(56));
+    const double t = OfflineProfiler::RunIsolated(spec(), fraction, 8);
     EXPECT_GE(t, previous - 1e-9) << spec().name << " at " << fraction;
     previous = t;
   }

@@ -30,7 +30,7 @@ TEST(PacketSimTest, FiniteFlowDeliversExactlyItsBits) {
   Network network(BuildSingleSwitchStar(4, Gbps64(1)), 8);
   PacketSimConfig config;
   config.horizon_seconds = kHorizon;
-  const double bits = config.packet_bits * 100;
+  const double bits = kPacketBits * 100;
   const PacketSimResult result = RunPacketSim(&network, {{0, 1, 0, 1.0, bits, 0}}, config);
   EXPECT_DOUBLE_EQ(result.delivered_bits[0], bits);
   EXPECT_EQ(result.packets_in_flight, 0);

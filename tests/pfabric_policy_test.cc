@@ -21,7 +21,7 @@ class PFabricTest : public ::testing::Test {
 };
 
 TEST_F(PFabricTest, PriorityMonotoneInRemainingSize) {
-  PFabricScheduler pfabric(&flow_sim_, {});
+  PFabricScheduler pfabric(&flow_sim_);
   double previous = -1;
   for (double bits : {Kilobytes(1), Kilobytes(100), Megabytes(10), Gigabytes(1),
                       Gigabytes(100)}) {
@@ -34,12 +34,12 @@ TEST_F(PFabricTest, PriorityMonotoneInRemainingSize) {
 TEST_F(PFabricTest, DifferentiatesLargeFlowsUnlikeHoma) {
   // The defining contrast with the Homa-like scheduler: 1 MB vs 1 GB land in
   // different classes even though both are far beyond Homa's 10 KB cutoff.
-  PFabricScheduler pfabric(&flow_sim_, {});
+  PFabricScheduler pfabric(&flow_sim_);
   EXPECT_LT(pfabric.PriorityFor(Megabytes(1)), pfabric.PriorityFor(Gigabytes(1)));
 }
 
 TEST_F(PFabricTest, SrptShortFlowPreemptsLongFlow) {
-  PFabricScheduler pfabric(&flow_sim_, {});
+  PFabricScheduler pfabric(&flow_sim_);
   SimTime short_done = -1;
   SimTime long_done = -1;
   flow_sim_.StartFlow(0, 0, 1, Gbps(20), 0, 0, [&](FlowId) { long_done = scheduler_.Now(); });
@@ -57,7 +57,7 @@ TEST_F(PFabricTest, SrptShortFlowPreemptsLongFlow) {
 TEST_F(PFabricTest, NearCompletionFlowOvertakes) {
   // A long flow that is nearly done outranks a mid-size fresh flow — the
   // "remaining size" part of SRPT.
-  PFabricScheduler pfabric(&flow_sim_, {});
+  PFabricScheduler pfabric(&flow_sim_);
   SimTime big_done = -1;
   flow_sim_.StartFlow(0, 0, 1, Gbps(10), 0, 0, [&](FlowId) { big_done = scheduler_.Now(); });
   SimTime fresh_done = -1;

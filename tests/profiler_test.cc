@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/net/units.h"
+#include <iterator>
+
 #include "src/workload/workload_catalog.h"
 
 namespace saba {
@@ -13,9 +14,9 @@ TEST(ProfilerTest, SamplesCoverConfiguredFractions) {
   options.noise_sigma = 0;
   OfflineProfiler profiler(options);
   const ProfileResult result = profiler.Profile(*FindWorkload("LR"));
-  ASSERT_EQ(result.samples.size(), options.bandwidth_fractions.size());
+  ASSERT_EQ(result.samples.size(), std::size(kBandwidthFractions));
   for (size_t i = 0; i < result.samples.size(); ++i) {
-    EXPECT_DOUBLE_EQ(result.samples[i].b, options.bandwidth_fractions[i]);
+    EXPECT_DOUBLE_EQ(result.samples[i].b, kBandwidthFractions[i]);
     EXPECT_GE(result.samples[i].d, 0.99);
   }
 }
@@ -91,11 +92,11 @@ TEST(ProfilerTest, ProfileAllBuildsFullTable) {
 
 TEST(ProfilerTest, ThrottleFloorSaturatesLowFractions) {
   const WorkloadSpec& lr = *FindWorkload("LR");
-  const double at_5 = OfflineProfiler::RunIsolated(lr, 0.05, 8, Gbps(56), 0.12);
-  const double at_12 = OfflineProfiler::RunIsolated(lr, 0.12, 8, Gbps(56), 0.12);
+  const double at_5 = OfflineProfiler::RunIsolated(lr, 0.05, 8, 0.12);
+  const double at_12 = OfflineProfiler::RunIsolated(lr, 0.12, 8, 0.12);
   EXPECT_NEAR(at_5, at_12, at_12 * 1e-9);
   // Without the floor, 5% is much slower than 12%.
-  const double at_5_nofloor = OfflineProfiler::RunIsolated(lr, 0.05, 8, Gbps(56), 0.0);
+  const double at_5_nofloor = OfflineProfiler::RunIsolated(lr, 0.05, 8, 0.0);
   EXPECT_GT(at_5_nofloor, at_12 * 1.5);
 }
 

@@ -164,6 +164,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"unknown_workload", "job NotAWorkload nodes=4\n"},
         BadCase{"unknown_policy", "policy tcp\njob LR\n"},
         BadCase{"bad_topology_kind", "topology ring servers=4\njob LR\n"},
+        BadCase{"topology_key_typo", "topology star server=4\njob LR nodes=2\n"},
+        BadCase{"topology_key_of_other_kind", "topology star servers=4 k=6\njob LR nodes=2\n"},
         BadCase{"bad_kv", "job LR nodes\n"},
         BadCase{"bad_nodes", "job LR nodes=1\n"},
         BadCase{"negative_start", "job LR start=-2\n"},

@@ -70,7 +70,6 @@ TEST(WeightSolverTest, RelativeFloorGuaranteesMinimumShare) {
 TEST(WeightSolverTest, ManyAppsFloorStaysFeasible) {
   WeightSolverOptions options;
   options.relative_min_weight = 0.75;
-  options.min_weight = 0.01;
   WeightSolver solver(options);
   Rng rng(6);
   std::vector<SensitivityModel> models(200, QuadraticModel(1.0));
@@ -134,6 +133,48 @@ TEST(WeightSolverTest, CapacityBelowOneRespected) {
   const auto result = solver.Solve({QuadraticModel(4.0), QuadraticModel(1.0)}, &rng);
   EXPECT_NEAR(Sum(result.weights), 0.6, 1e-9);
 }
+
+// Random convex cubic 1 + s(1-b) + q(1-b)^2 + c(1-b)^3 with non-negative
+// coefficients (convex and non-increasing in b), as fig12 draws them.
+SensitivityModel RandomConvexCubic(Rng* rng) {
+  const double s = rng->Uniform(0.1, 4.0);
+  const double q = rng->Uniform(0.0, 3.0);
+  const double c = rng->Uniform(0.0, 2.0);
+  return SensitivityModel{Polynomial({1 + s + q + c, -(s + 2 * q + 3 * c), q + 3 * c, -c})};
+}
+
+// Property sweep: on random convex cubics the closed form's output satisfies
+// the KKT conditions of Eq 2 (feasible, and equal marginals away from the
+// bounds).
+class KktPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KktPropertyTest, MarginalsEqualAtInteriorOptimum) {
+  Rng rng(static_cast<uint64_t>(GetParam()));
+  const size_t n = static_cast<size_t>(rng.UniformInt(2, 8));
+  std::vector<SensitivityModel> models;
+  for (size_t i = 0; i < n; ++i) {
+    models.push_back(RandomConvexCubic(&rng));
+  }
+  WeightSolverOptions options;
+  options.relative_min_weight = 0.02;  // At n <= 8 the floor is kMinWeight.
+  const auto result = WeightSolver(options).Solve(models, &rng);
+  EXPECT_TRUE(result.used_convex_path);
+  EXPECT_NEAR(Sum(result.weights), 1.0, 1e-9);
+  // Collect marginals of coordinates strictly inside the box.
+  std::vector<double> marginals;
+  for (size_t i = 0; i < n; ++i) {
+    const double w = result.weights[i];
+    EXPECT_GE(w, kMinWeight);
+    if (w > kMinWeight + 1e-3 && w < 1.0 - 1e-3) {
+      marginals.push_back(models[i].polynomial().Derivative().Evaluate(w));
+    }
+  }
+  for (size_t i = 1; i < marginals.size(); ++i) {
+    EXPECT_NEAR(marginals[i], marginals[0], 1e-4);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KktPropertyTest, ::testing::Range(1, 16));
 
 }  // namespace
 }  // namespace saba

@@ -22,7 +22,7 @@ constexpr double kHorizon = 2.0;  // Seconds of simulated service.
 TEST(WrrReferenceTest, SingleBackloggedFlowSaturatesPort) {
   WrrPortSpec port{Gbps64(1), {1.0}};
   const WrrResult result = SimulateWrrPort(port, {{0, 1.0, -1}}, kHorizon);
-  EXPECT_NEAR(result.total_bits, Gbps(1) * kHorizon, port.packet_bits * 2);
+  EXPECT_NEAR(result.total_bits, Gbps(1) * kHorizon, kPacketBits * 2);
 }
 
 TEST(WrrReferenceTest, EqualWeightsSplitEqually) {
@@ -44,7 +44,7 @@ TEST(WrrReferenceTest, IdleQueueYieldsBandwidth) {
   // Queue 1 has no flows: queue 0 takes the whole port (work conservation).
   WrrPortSpec port{Gbps64(1), {1.0, 9.0}};
   const WrrResult result = SimulateWrrPort(port, {{0, 1.0, -1}}, kHorizon);
-  EXPECT_NEAR(result.total_bits, Gbps(1) * kHorizon, port.packet_bits * 2);
+  EXPECT_NEAR(result.total_bits, Gbps(1) * kHorizon, kPacketBits * 2);
 }
 
 TEST(WrrReferenceTest, FiniteFlowStopsAndOthersReclaim) {
@@ -52,8 +52,8 @@ TEST(WrrReferenceTest, FiniteFlowStopsAndOthersReclaim) {
   WrrPortSpec port{Gbps64(1), {1.0, 1.0}};
   const WrrResult result =
       SimulateWrrPort(port, {{0, 1.0, -1}, {1, 1.0, Mbps(10) * 1.0}}, kHorizon);
-  EXPECT_NEAR(result.flow_bits[1], Mbps(10), port.packet_bits * 2);
-  EXPECT_NEAR(result.flow_bits[0], Gbps(1) * kHorizon - Mbps(10), port.packet_bits * 16);
+  EXPECT_NEAR(result.flow_bits[1], Mbps(10), kPacketBits * 2);
+  EXPECT_NEAR(result.flow_bits[0], Gbps(1) * kHorizon - Mbps(10), kPacketBits * 16);
 }
 
 TEST(WrrReferenceTest, IntraWeightSubordinatesPrefetchFlows) {
